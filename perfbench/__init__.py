@@ -1,0 +1,6 @@
+"""Benchmark for gridfreq: seeded workloads, correctness gates and tracing.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed
+<n> --seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md``.
+"""
