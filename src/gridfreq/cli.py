@@ -19,7 +19,7 @@ from .nadir_linearization import (LinearizationError, admitted,
                                   enumerate_commitments, extract_bounds,
                                   fit_pwl, make_nadir_fn, nadir_grid)
 from .scenarios import ScenarioError
-from .solver import SolverConfigError, get_backend
+from .solver import get_backend
 from .study import StudyConfig, StudyError, report, run_study
 from .system import SystemDataError, load_system
 from .uc_core import (UcModelError, build_model, dump_solution,
@@ -27,8 +27,7 @@ from .uc_core import (UcModelError, build_model, dump_solution,
 
 DOMAIN_ERRORS = (SystemDataError, ScenarioError, FrequencyModelError,
                  LinearizationError, UcModelError, StudyError,
-                 SolverConfigError, OSError, json.JSONDecodeError,
-                 ValueError)
+                 OSError, json.JSONDecodeError, ValueError)
 
 
 def _err(msg: str) -> None:

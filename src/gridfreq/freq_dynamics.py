@@ -2,18 +2,19 @@
 
 Aggregates per-unit parameters into a single second-order model with a
 turbine zero and evaluates the three post-contingency frequency metrics:
-nadir, RoCoF and quasi-steady-state deviation.  A fixed-step RK4
-integrator of the same model serves as an independent numerical oracle.
+nadir, RoCoF and quasi-steady-state deviation.  This module owns the
+per-unit coefficients every other layer uses and the one closed form of
+the nadir.  A fixed-step RK4 integrator of the same model serves as an
+independent numerical oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .system import ConverterFleet, FrequencyLimits, SynchronousUnit
+from .system import ConverterFleet, FrequencyLimits, SynchronousUnit, s_base
 
 
 class FrequencyModelError(ValueError):
@@ -42,12 +43,20 @@ class AggregateParams:
 
 
 @dataclass
-class SecondOrderChar:
-    omega_n: float
-    zeta: float
-    omega_d: float      # nan when zeta >= 1
-    t_nadir: float
-    overdamped: bool = False
+class FrequencyWeights:
+    """Per-unit coefficients of the aggregate constants on the common base.
+
+    Entry ``i`` of each vector is what unit ``i`` adds to the aggregate
+    when it is online; ``m_v`` and ``d`` do not depend on the commitment.
+    """
+
+    s_base: float
+    k: np.ndarray      # scaled governor gain: p_max * gain_k / s_base
+    m_w: np.ndarray    # inertia: 2 * inertia_h * k
+    r_w: np.ndarray    # droop: k / droop
+    f_w: np.ndarray    # turbine: turbine_fraction * r_w
+    m_v: float         # converter virtual inertia
+    d: float           # full-fleet damping, see fleet_damping
 
 
 @dataclass
@@ -84,6 +93,24 @@ def fleet_damping(units: list[SynchronousUnit], fleet: ConverterFleet,
     return (d_sg + d_conv) / s_base
 
 
+def frequency_weights(units: list[SynchronousUnit],
+                      fleet: ConverterFleet) -> FrequencyWeights:
+    """Per-unit inertia, droop and turbine weights, ``m_v`` and damping."""
+    base = s_base(units, fleet)
+    if base <= 0:
+        raise FrequencyModelError("no frequency response resources")
+    k = np.array([u.p_max * u.gain_k / base for u in units])
+    r_w = k / np.array([u.droop for u in units])
+    return FrequencyWeights(
+        s_base=base, k=k,
+        m_w=2.0 * np.array([u.inertia_h for u in units]) * k,
+        r_w=r_w,
+        f_w=np.array([u.turbine_fraction for u in units]) * r_w,
+        m_v=(2.0 * fleet.vsm_inertia_h * fleet.vsm_gain * fleet.vsm_capacity
+             / base),
+        d=fleet_damping(units, fleet, base))
+
+
 def aggregate_params(units: list[SynchronousUnit],
                      online: list[bool] | np.ndarray,
                      fleet: ConverterFleet,
@@ -96,79 +123,93 @@ def aggregate_params(units: list[SynchronousUnit],
     """
     if len(online) != len(units):
         raise FrequencyModelError("online mask length does not match units")
-    s_base = (sum(u.p_max for u in units)
-              + fleet.vsm_capacity + fleet.droop_capacity)
-    if s_base <= 0 or (not units and fleet.vsm_capacity == 0
-                       and fleet.droop_capacity == 0):
-        raise FrequencyModelError("no frequency response resources")
-
-    m = r_g = f_g = d_sg = 0.0
-    for u, on in zip(units, online):
-        if not on:
-            continue
-        k = u.p_max * u.gain_k / s_base
-        r_g += k / u.droop
-        f_g += u.turbine_fraction * k / u.droop
-        m += 2.0 * u.inertia_h * k
-        d_sg += u.damping * u.p_max
-    m_v = 2.0 * fleet.vsm_inertia_h * fleet.vsm_gain * fleet.vsm_capacity / s_base
-    if d_override is not None:
-        d = d_override
-    else:
-        d = (d_sg + fleet.vsm_damping * fleet.vsm_capacity
-             + (fleet.droop_gain / fleet.droop_droop) * fleet.droop_capacity
-             ) / s_base
-    return AggregateParams(m=m, m_v=m_v, d=d, r_g=r_g, f_g=f_g,
-                           t_turbine=t_turbine, s_base=s_base)
+    w = frequency_weights(units, fleet)
+    on = np.asarray(online, dtype=bool)
+    d = d_override
+    if d is None:
+        d = fleet_damping([u for u, o in zip(units, on) if o], fleet,
+                          w.s_base)
+    return AggregateParams(m=float(w.m_w[on].sum()), m_v=w.m_v, d=d,
+                           r_g=float(w.r_w[on].sum()),
+                           f_g=float(w.f_w[on].sum()),
+                           t_turbine=t_turbine, s_base=w.s_base)
 
 
-def second_order_char(agg: AggregateParams) -> SecondOrderChar:
-    """Natural frequency, damping ratio and time of the frequency nadir."""
-    m_eff, d, r_g, f_g, t = agg.m_eff, agg.d, agg.r_g, agg.f_g, agg.t_turbine
-    if m_eff <= 0:
-        raise FrequencyModelError("nonpositive effective inertia")
-    if d + r_g <= 0:
-        raise FrequencyModelError("nonpositive aggregate damping plus droop")
-    omega_n = math.sqrt((d + r_g) / (m_eff * t))
-    zeta = (m_eff + t * (d + f_g)) / (2.0 * math.sqrt(m_eff * t * (d + r_g)))
-    if zeta < 1.0:
-        omega_d = omega_n * math.sqrt(1.0 - zeta * zeta)
-        # First positive root of the step-response derivative; atan2 places
-        # the angle in (0, pi) regardless of the sign of zeta*omega_n*T - 1.
-        t_nadir = math.atan2(omega_d * t, zeta * omega_n * t - 1.0) / omega_d
-        return SecondOrderChar(omega_n, zeta, omega_d, t_nadir)
-    # Overdamped: no closed-form nadir time; locate the trajectory extremum.
-    ts, df = simulate_step_response(agg, 1.0, horizon_s=60.0, dt=1e-3)
-    t_nadir = float(ts[np.argmin(df)])
-    return SecondOrderChar(omega_n, zeta, float("nan"), t_nadir,
-                           overdamped=True)
+def nadir_closed_form(m_eff, d, r_g, f_g, t, delta_p, f_base):
+    """Vectorized nadir magnitude in Hz; inf where the model degenerates.
+
+    The nadir is the largest frequency deviation over t >= 0.
+    Underdamped points use the oscillatory closed form; overdamped points
+    (real poles s1, s2) use the stationary point of
+    K0 + K1 exp(s1 t) + K2 exp(s2 t) at
+    t_m = ln((1 + s2 T)/(1 + s1 T)) / (s1 - s2), falling back to the
+    steady-state deviation when the response is monotone.  The
+    square-root amplitude is clamped at zero so the surface extends
+    continuously onto r_g < f_g grid corners.
+    """
+    m_eff = np.asarray(m_eff, dtype=float)
+    d = np.broadcast_to(np.asarray(d, dtype=float), m_eff.shape).copy()
+    r_g = np.asarray(r_g, dtype=float)
+    f_g = np.asarray(f_g, dtype=float)
+    out = np.full(m_eff.shape, np.inf)
+    dr = d + r_g
+    valid = (m_eff > 0) & (dr > 0)
+    if not np.any(valid):
+        return out
+    me, dd, rr, ff = m_eff[valid], d[valid], r_g[valid], f_g[valid]
+    drv = dd + rr
+    wn = np.sqrt(drv / (me * t))
+    zeta = (me + t * (dd + ff)) / (2.0 * np.sqrt(me * t * drv))
+    ss = f_base * delta_p / drv
+    nad = ss.copy()
+    under = zeta < 1.0
+    if np.any(under):
+        wd = wn[under] * np.sqrt(1.0 - zeta[under] ** 2)
+        t_m = np.arctan2(wd * t, zeta[under] * wn[under] * t - 1.0) / wd
+        amp = np.sqrt(np.maximum(t * (rr[under] - ff[under]), 0.0)
+                      / me[under])
+        nad[under] = ss[under] * (1.0 + amp
+                                  * np.exp(-zeta[under] * wn[under] * t_m))
+    over = ~under
+    if np.any(over):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zo, wo = zeta[over], wn[over]
+            disc = wo * np.sqrt(zo * zo - 1.0)
+            s1 = -zo * wo + disc
+            s2 = -zo * wo - disc
+            ratio = (1.0 + s2 * t) / (1.0 + s1 * t)
+            t_m = np.where(ratio > 0, np.log(ratio) / (s1 - s2), np.nan)
+            k1 = (1.0 + s1 * t) / (s1 * (s1 - s2)) / (me[over] * t)
+            k2 = (1.0 + s2 * t) / (s2 * (s2 - s1)) / (me[over] * t)
+            dev = (1.0 / drv[over] + k1 * np.exp(s1 * t_m)
+                   + k2 * np.exp(s2 * t_m)) * f_base * delta_p
+            monotone = ~(np.isfinite(t_m) & (t_m > 0))
+            nad[over] = np.where(monotone, ss[over], np.abs(dev))
+    out[valid] = nad
+    return out
 
 
 def frequency_metrics(agg: AggregateParams, delta_p: float,
                       limits: FrequencyLimits) -> FrequencyMetrics:
-    """Closed-form nadir, RoCoF and quasi-steady-state deviation in SI."""
+    """Nadir, RoCoF and quasi-steady-state deviation in SI units."""
     if delta_p < 0:
         raise FrequencyModelError("delta_p must be >= 0")
     if delta_p == 0:
         return FrequencyMetrics(0.0, 0.0, 0.0)
-    m_eff, d, r_g, f_g, t = agg.m_eff, agg.d, agg.r_g, agg.f_g, agg.t_turbine
+    m_eff, d, r_g, f_g = agg.m_eff, agg.d, agg.r_g, agg.f_g
     if r_g < f_g:
         raise FrequencyModelError(
             "nadir expression invalid: r_g < f_g gives a negative "
             "square-root argument")
-    char = second_order_char(agg)
+    if m_eff <= 0:
+        raise FrequencyModelError("nonpositive effective inertia")
+    if d + r_g <= 0:
+        raise FrequencyModelError("nonpositive aggregate damping plus droop")
     f_b = limits.f_base
-    rocof = f_b * delta_p / m_eff
-    ss = f_b * delta_p / (d + r_g)
-    if char.overdamped:
-        _, df = simulate_step_response(agg, delta_p, horizon_s=60.0, dt=1e-3,
-                                       f_base=f_b)
-        nadir = float(-df.min())
-    else:
-        amp = math.sqrt(t * (r_g - f_g) / m_eff)
-        nadir = ss * (1.0 + amp * math.exp(-char.zeta * char.omega_n
-                                           * char.t_nadir))
-    return FrequencyMetrics(nadir_hz=nadir, rocof_hz_s=rocof, ss_dev_hz=ss)
+    nadir = float(nadir_closed_form(m_eff, d, r_g, f_g, agg.t_turbine,
+                                    delta_p, f_b))
+    return FrequencyMetrics(nadir_hz=nadir, rocof_hz_s=f_b * delta_p / m_eff,
+                            ss_dev_hz=f_b * delta_p / (d + r_g))
 
 
 def simulate_step_response(agg: AggregateParams, delta_p: float,

@@ -13,11 +13,11 @@ import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .freq_dynamics import fleet_damping
+from .freq_dynamics import frequency_weights, nadir_closed_form
 from .system import ConverterFleet, FrequencyLimits, SynchronousUnit
 
 ENUMERATION_GUARD = 25
@@ -25,16 +25,6 @@ ENUMERATION_GUARD = 25
 
 class LinearizationError(ValueError):
     pass
-
-
-@dataclass
-class CommitmentPoint:
-    mask: int
-    m: float
-    r_g: float
-    f_g: float
-    nadir_hz: float
-    safe: bool
 
 
 @dataclass
@@ -57,16 +47,6 @@ class CommitmentCloud:
 
     def __len__(self) -> int:
         return len(self.m)
-
-    def point(self, idx: int) -> CommitmentPoint:
-        return CommitmentPoint(mask=idx, m=float(self.m[idx]),
-                               r_g=float(self.r_g[idx]),
-                               f_g=float(self.f_g[idx]),
-                               nadir_hz=float(self.nadir_hz[idx]),
-                               safe=bool(self.safe[idx]))
-
-    def points(self) -> Iterator[CommitmentPoint]:
-        return (self.point(i) for i in range(len(self)))
 
     def mask_of(self, online_ids: set[str]) -> int:
         mask = 0
@@ -107,7 +87,6 @@ class PwlSegment:
 @dataclass
 class PwlFit:
     segments: list[PwlSegment]
-    eval_points: np.ndarray    # (n, 3) grid of (r_g, f_g, m)
     rmse: float
 
     def evaluate(self, r_g, f_g, m):
@@ -123,68 +102,13 @@ class PwlFit:
             fh.write("\n")
 
 
-def _nadir_closed_form(m_eff, d, r_g, f_g, t, delta_p, f_base):
-    """Vectorized nadir magnitude in Hz; inf where the model degenerates.
-
-    Underdamped points use the oscillatory closed form; overdamped points
-    (real poles s1, s2) use the stationary point of
-    K0 + K1 exp(s1 t) + K2 exp(s2 t) at
-    t_m = ln((1 + s2 T)/(1 + s1 T)) / (s1 - s2), falling back to the
-    steady-state deviation when the response is monotone.  The
-    square-root amplitude is clamped at zero so the surface extends
-    continuously onto r_g < f_g grid corners.
-    """
-    m_eff = np.asarray(m_eff, dtype=float)
-    d = np.broadcast_to(np.asarray(d, dtype=float), m_eff.shape).copy()
-    r_g = np.asarray(r_g, dtype=float)
-    f_g = np.asarray(f_g, dtype=float)
-    out = np.full(m_eff.shape, np.inf)
-    dr = d + r_g
-    valid = (m_eff > 0) & (dr > 0)
-    if not np.any(valid):
-        return out
-    me, dd, rr, ff = m_eff[valid], d[valid], r_g[valid], f_g[valid]
-    drv = dd + rr
-    wn = np.sqrt(drv / (me * t))
-    zeta = (me + t * (dd + ff)) / (2.0 * np.sqrt(me * t * drv))
-    ss = f_base * delta_p / drv
-    nad = ss.copy()
-    under = zeta < 1.0
-    if np.any(under):
-        wd = wn[under] * np.sqrt(1.0 - zeta[under] ** 2)
-        t_m = np.arctan2(wd * t, zeta[under] * wn[under] * t - 1.0) / wd
-        amp = np.sqrt(np.maximum(t * (rr[under] - ff[under]), 0.0)
-                      / me[under])
-        nad[under] = ss[under] * (1.0 + amp
-                                  * np.exp(-zeta[under] * wn[under] * t_m))
-    over = ~under
-    if np.any(over):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zo, wo = zeta[over], wn[over]
-            disc = wo * np.sqrt(zo * zo - 1.0)
-            s1 = -zo * wo + disc
-            s2 = -zo * wo - disc
-            ratio = (1.0 + s2 * t) / (1.0 + s1 * t)
-            t_m = np.where(ratio > 0, np.log(ratio) / (s1 - s2), np.nan)
-            k1 = (1.0 + s1 * t) / (s1 * (s1 - s2)) / (me[over] * t)
-            k2 = (1.0 + s2 * t) / (s2 * (s2 - s1)) / (me[over] * t)
-            dev = (1.0 / drv[over] + k1 * np.exp(s1 * t_m)
-                   + k2 * np.exp(s2 * t_m)) * f_base * delta_p
-            monotone = ~(np.isfinite(t_m) & (t_m > 0))
-            nad[over] = np.where(monotone, ss[over], np.abs(dev))
-    out[valid] = nad
-    return out
-
-
 def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
                           fleet: ConverterFleet, limits: FrequencyLimits,
-                          t_turbine: float,
-                          constant_damping: bool = True) -> CommitmentCloud:
+                          t_turbine: float) -> CommitmentCloud:
     """Nadir over all on/off patterns of the units surviving one outage.
 
-    With ``constant_damping`` the full-fleet aggregate damping is used for
-    every point, matching the damping treatment in the UC model; otherwise
-    damping follows each commitment pattern.
+    The full-fleet aggregate damping is used for every point, matching
+    the damping treatment in the UC model.
     """
     survivor_idx = [k for k, u in enumerate(units) if u.id != outage_unit]
     if len(survivor_idx) == len(units):
@@ -194,40 +118,24 @@ def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
             f"{len(units)} units exceeds the enumeration guard of "
             f"{ENUMERATION_GUARD}; use a sampling approach instead")
 
-    s_base = (sum(u.p_max for u in units)
-              + fleet.vsm_capacity + fleet.droop_capacity)
+    w = frequency_weights(units, fleet)
     failed = next(u for u in units if u.id == outage_unit)
-    delta_p = failed.p_max / s_base
-    survivors = [units[k] for k in survivor_idx]
-    n = len(survivors)
-
-    k_vec = np.array([u.p_max * u.gain_k / s_base for u in survivors])
-    m_w = 2.0 * np.array([u.inertia_h for u in survivors]) * k_vec
-    r_w = k_vec / np.array([u.droop for u in survivors])
-    f_w = np.array([u.turbine_fraction for u in survivors]) * r_w
-    d_w = np.array([u.damping * u.p_max for u in survivors]) / s_base
-    d_conv = (fleet.vsm_damping * fleet.vsm_capacity
-              + (fleet.droop_gain / fleet.droop_droop)
-              * fleet.droop_capacity) / s_base
+    delta_p = failed.p_max / w.s_base
+    n = len(survivor_idx)
 
     masks = np.arange(1 << n, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-    m = bits @ m_w
-    r_g = bits @ r_w
-    f_g = bits @ f_w
-    if constant_damping:
-        d = np.full(len(masks), fleet_damping(list(units), fleet, s_base))
-    else:
-        d = bits @ d_w + d_conv
-    m_v = (2.0 * fleet.vsm_inertia_h * fleet.vsm_gain * fleet.vsm_capacity
-           / s_base)
+    m = bits @ w.m_w[survivor_idx]
+    r_g = bits @ w.r_w[survivor_idx]
+    f_g = bits @ w.f_w[survivor_idx]
+    d = np.full(len(masks), w.d)
 
-    nadir = _nadir_closed_form(m + m_v, d, r_g, f_g, t_turbine, delta_p,
-                               limits.f_base)
+    nadir = nadir_closed_form(m + w.m_v, d, r_g, f_g, t_turbine, delta_p,
+                              limits.f_base)
     safe = nadir <= limits.nadir_lim
     safe[0] = False   # all survivors offline: unsafe by convention
-    return CommitmentCloud(survivor_ids=[u.id for u in survivors],
-                           delta_p=delta_p, m_v=m_v, d=d, m=m, r_g=r_g,
+    return CommitmentCloud(survivor_ids=[units[k].id for k in survivor_idx],
+                           delta_p=delta_p, m_v=w.m_v, d=d, m=m, r_g=r_g,
                            f_g=f_g, nadir_hz=nadir, safe=safe)
 
 
@@ -507,16 +415,15 @@ def fit_pwl(nadir_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
                                   seed=seed, warm_start=ws)
     segments = [PwlSegment(a=float(c[0]), b=float(c[1]), c=float(c[2]),
                            d=float(c[3])) for c in coeffs]
-    return PwlFit(segments=segments, eval_points=grid, rmse=rmse)
+    return PwlFit(segments=segments, rmse=rmse)
 
 
 def make_nadir_fn(d: float, t_turbine: float, delta_p: float,
                   limits: FrequencyLimits, m_v: float = 0.0):
     """Nadir surface (r_g, f_g, m) -> Hz at fixed damping, for PWL fitting."""
     def fn(r_g, f_g, m):
-        return _nadir_closed_form(np.asarray(m, dtype=float) + m_v, d,
-                                  r_g, f_g, t_turbine, delta_p,
-                                  limits.f_base)
+        return nadir_closed_form(np.asarray(m, dtype=float) + m_v, d,
+                                 r_g, f_g, t_turbine, delta_p, limits.f_base)
     return fn
 
 
@@ -555,10 +462,7 @@ def benchmark_linearizations(units: Sequence[SynchronousUnit],
     bounds = extract_bounds(cloud, limits)
     t_bounds = time.perf_counter() - t0
 
-    s_base = (sum(u.p_max for u in units)
-              + fleet.vsm_capacity + fleet.droop_capacity)
-    d_const = fleet_damping(list(units), fleet, s_base)
-    fn = make_nadir_fn(d_const, t_turbine, cloud.delta_p, limits,
+    fn = make_nadir_fn(float(cloud.d[0]), t_turbine, cloud.delta_p, limits,
                        m_v=cloud.m_v)
     grid = nadir_grid(cloud, n_per_dim=grid_per_dim)
     pwl_times = {}

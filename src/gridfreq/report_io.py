@@ -45,8 +45,8 @@ def load_day_solution(day_dir: str | Path,
                       cost_breakdown=costs["breakdown"])
 
 
-def _load_run(study_dir: Path, sub: str, manifest: dict, config: StudyConfig,
-              template, modes: list[str]) -> StudyResult:
+def _load_run(study_dir: Path, sub: str, config: StudyConfig, template,
+              modes: list[str]) -> StudyResult:
     days = []
     run_dir = study_dir / sub
     for day in range(1, config.n_days + 1):
@@ -77,9 +77,9 @@ def regenerate_report(study_dir: str | Path, out_dir: str | Path) -> None:
         raise StudyError("manifest does not describe a paired study")
     modes_off = [d["freq_mode"] for d in day_entries[:config.n_days]]
     modes_on = [d["freq_mode"] for d in day_entries[config.n_days:]]
-    result_off = _load_run(study_dir, "solutions_off", manifest, config,
-                           template, modes_off)
+    result_off = _load_run(study_dir, "solutions_off", config, template,
+                           modes_off)
     cfg_on = config
-    result_on = _load_run(study_dir, "solutions_on", manifest, cfg_on,
-                          template, modes_on)
+    result_on = _load_run(study_dir, "solutions_on", cfg_on, template,
+                          modes_on)
     report(result_off, result_on, out_dir)

@@ -1,14 +1,11 @@
 """Thin mixed-integer solver abstraction.
 
 Models are accumulated as sparse triplets plus variable bounds and solved
-through a pluggable backend.  The backend is chosen by name, by the
-``GRIDFREQ_SOLVER`` environment variable, or defaults to the HiGHS solver
-shipped with scipy.
+with the HiGHS solver shipped with scipy.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +13,6 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 INF = float("inf")
-
-
-class SolverConfigError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -46,7 +39,6 @@ class SolverModel:
     row_lo: list[float] = field(default_factory=list)
     row_hi: list[float] = field(default_factory=list)
     row_tags: list[str] = field(default_factory=list)
-    var_names: list[str] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
@@ -56,21 +48,19 @@ class SolverModel:
     def n_rows(self) -> int:
         return len(self.row_entries)
 
-    def add_var(self, lb: float = 0.0, ub: float = INF, binary: bool = False,
-                name: str = "") -> int:
+    def add_var(self, lb: float = 0.0, ub: float = INF,
+                binary: bool = False) -> int:
         self.lb.append(lb)
         self.ub.append(ub)
         self.is_int.append(binary)
-        self.var_names.append(name or f"x{len(self.lb) - 1}")
         return len(self.lb) - 1
 
     def add_vars(self, n: int, lb: float = 0.0, ub: float = INF,
-                 binary: bool = False, name: str = "") -> np.ndarray:
+                 binary: bool = False) -> np.ndarray:
         start = self.n_vars
         self.lb.extend([lb] * n)
         self.ub.extend([ub] * n)
         self.is_int.extend([binary] * n)
-        self.var_names.extend(f"{name}{start + j}" for j in range(n))
         return np.arange(start, start + n)
 
     def add_row(self, entries: list[tuple[int, float]], lo: float, hi: float,
@@ -119,33 +109,6 @@ class SolverModel:
         hi = np.array(self.row_hi)
         return np.maximum(np.maximum(lo - ax, ax - hi), 0.0)
 
-    def write_lp(self, path) -> None:
-        """Debug dump in a readable LP-style text format."""
-        with open(path, "w") as fh:
-            fh.write("minimize\n  ")
-            terms = [f"{coef:+g} {self.var_names[i]}"
-                     for i, coef in sorted(self.obj.items())]
-            fh.write(" ".join(terms) or "0")
-            fh.write("\nsubject to\n")
-            for r, entries in enumerate(self.row_entries):
-                expr = " ".join(f"{coef:+g} {self.var_names[i]}"
-                                for i, coef in entries)
-                lo, hi = self.row_lo[r], self.row_hi[r]
-                tag = self.row_tags[r] or f"r{r}"
-                if lo == hi:
-                    fh.write(f"  {tag}: {expr} = {lo:g}\n")
-                elif lo == -INF:
-                    fh.write(f"  {tag}: {expr} <= {hi:g}\n")
-                elif hi == INF:
-                    fh.write(f"  {tag}: {expr} >= {lo:g}\n")
-                else:
-                    fh.write(f"  {tag}: {lo:g} <= {expr} <= {hi:g}\n")
-            fh.write("bounds\n")
-            for j in range(self.n_vars):
-                kind = "int" if self.is_int[j] else "cont"
-                fh.write(f"  {self.lb[j]:g} <= {self.var_names[j]} <= "
-                         f"{self.ub[j]:g} {kind}\n")
-
 
 class HighsBackend:
     """MILP backend over scipy's bundled HiGHS solver."""
@@ -179,15 +142,6 @@ class HighsBackend:
         return SolveResult("infeasible", None, None, None)
 
 
-_BACKENDS = {"highs": HighsBackend}
-
-
-def get_backend(name: str | None = None):
-    """Backend by explicit name, GRIDFREQ_SOLVER, or the default."""
-    name = name or os.environ.get("GRIDFREQ_SOLVER") or "highs"
-    try:
-        return _BACKENDS[name.lower()]()
-    except KeyError:
-        raise SolverConfigError(
-            f"no backend configured: unknown solver {name!r}; "
-            f"available: {sorted(_BACKENDS)}") from None
+def get_backend() -> HighsBackend:
+    """The solver backend: HiGHS through ``scipy.optimize.milp``."""
+    return HighsBackend()

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .freq_dynamics import (aggregate_params, check_limits, fleet_damping,
-                            frequency_metrics, simulate_step_response)
+from .freq_dynamics import (AggregateParams, aggregate_params, check_limits,
+                            frequency_metrics, frequency_weights,
+                            simulate_step_response)
 from .nadir_linearization import (enumerate_commitments, extract_bounds,
                                   fit_pwl, make_nadir_fn, nadir_grid)
 from .scenarios import ContingencyModel, WindScenario, build_tree
-from .system import ConverterFleet, FrequencyLimits, SynchronousUnit
+from .system import ConverterFleet, FrequencyLimits, SynchronousUnit, s_base
 from .uc_core import (InitialState, Network, UcInstance, UcSolution,
                       build_model, dump_solution, solve)
 
@@ -88,8 +89,7 @@ class StudyTemplate:
 
     @property
     def s_base(self) -> float:
-        return (sum(u.p_max for u in self.units)
-                + self.fleet.vsm_capacity + self.fleet.droop_capacity)
+        return s_base(self.units, self.fleet)
 
 
 @dataclass
@@ -119,16 +119,13 @@ def prepare_surrogates(units, fleet, limits, t_turbine, outages,
                        freq_mode: str, seed: int = 0) -> dict:
     """Per-outage nadir surrogates (bound boxes or max-affine fits)."""
     out: dict = {}
-    s_base = (sum(u.p_max for u in units)
-              + fleet.vsm_capacity + fleet.droop_capacity)
-    d_const = fleet_damping(list(units), fleet, s_base)
     for uid in outages:
         cloud = enumerate_commitments(units, uid, fleet, limits, t_turbine)
         if freq_mode == "bounds":
             out[uid] = extract_bounds(cloud, limits)
         else:
-            fn = make_nadir_fn(d_const, t_turbine, cloud.delta_p, limits,
-                               m_v=cloud.m_v)
+            fn = make_nadir_fn(float(cloud.d[0]), t_turbine, cloud.delta_p,
+                               limits, m_v=cloud.m_v)
             out[uid] = fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=60,
                                seed=seed)
     return out
@@ -263,8 +260,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
                     time_limit=config.time_limit)
         if not sol.feasible:
             raise StudyError(
-                f"day {day} ({mode}) came back {sol.status}; inspect the "
-                f"model with SolverModel.write_lp")
+                f"day {day} ({mode}) came back {sol.status}")
         if mode == "bounds":
             _assert_cloud_membership(inst, sol)
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,
@@ -291,22 +287,29 @@ def posthoc_gaps(sol: UcSolution, instance: UcInstance,
     metrics are identically zero).
     """
     tree = instance.tree
-    d_const = fleet_damping(instance.units, instance.fleet, instance.s_base)
     T = instance.horizon
     eta = np.full((T, 3), -1.0)
     for t in range(T):
         dp = tree.outage_size[scenario, t]
         if dp <= 0:
             continue
-        online = (sol.u[:, t] * tree.availability[scenario, :, t]) > 0
-        agg = aggregate_params(instance.units, online, instance.fleet,
-                               instance.t_turbine, d_override=d_const)
+        agg = _realized_params(sol, instance, scenario, t)
         gaps = check_limits(frequency_metrics(agg, dp, instance.limits),
                             instance.limits)
         eta[t] = (gaps.nadir, gaps.rocof, gaps.ss)
     return ConstraintGapSeries(hours=np.arange(1, T + 1),
                                eta_nadir=eta[:, 0], eta_rocof=eta[:, 1],
                                eta_ss=eta[:, 2])
+
+
+def _realized_params(sol: UcSolution, instance: UcInstance, scenario: int,
+                     t: int) -> AggregateParams:
+    """Aggregate constants of the units online in ``scenario`` at hour
+    index ``t``, at the constant fleet damping the schedule assumed."""
+    w = frequency_weights(instance.units, instance.fleet)
+    online = (sol.u[:, t] * instance.tree.availability[scenario, :, t]) > 0
+    return aggregate_params(instance.units, online, instance.fleet,
+                            instance.t_turbine, d_override=w.d)
 
 
 def frequency_trace(sol: UcSolution, instance: UcInstance, scenario: int,
@@ -323,10 +326,7 @@ def frequency_trace(sol: UcSolution, instance: UcInstance, scenario: int,
     if dp <= 0:
         raise StudyError(f"scenario {scenario} has no disturbance at hour "
                          f"{hour}")
-    d_const = fleet_damping(instance.units, instance.fleet, instance.s_base)
-    online = (sol.u[:, t] * tree.availability[scenario, :, t]) > 0
-    agg = aggregate_params(instance.units, online, instance.fleet,
-                           instance.t_turbine, d_override=d_const)
+    agg = _realized_params(sol, instance, scenario, t)
     return simulate_step_response(agg, dp, horizon_s=horizon_s,
                                   f_base=instance.limits.f_base)
 
@@ -336,12 +336,9 @@ def frequency_trace(sol: UcSolution, instance: UcInstance, scenario: int,
 
 def _inertia_series(result: StudyResult) -> np.ndarray:
     """Synchronous inertia per hour in the no-contingency branch."""
-    u = result.solution_u()
-    units = result.template.units
-    s_base = result.template.s_base
-    m_w = np.array([2.0 * g.inertia_h * g.p_max * g.gain_k / s_base
-                    for g in units])
-    return m_w @ u
+    template = result.template
+    m_w = frequency_weights(template.units, template.fleet).m_w
+    return m_w @ result.solution_u()
 
 
 def _largest_outage(template: StudyTemplate) -> str:

@@ -103,6 +103,12 @@ class FrequencyLimits:
                 raise SystemDataError(f"{name} must be > 0")
 
 
+def s_base(units: list[SynchronousUnit], fleet: ConverterFleet) -> float:
+    """Common MVA base: synchronous plus converter capacity."""
+    return (sum(u.p_max for u in units)
+            + fleet.vsm_capacity + fleet.droop_capacity)
+
+
 @dataclass
 class PowerSystem:
     """Units, converter fleet and frequency configuration of one grid."""
@@ -114,8 +120,7 @@ class PowerSystem:
 
     @property
     def s_base(self) -> float:
-        return (sum(u.p_max for u in self.units)
-                + self.fleet.vsm_capacity + self.fleet.droop_capacity)
+        return s_base(self.units, self.fleet)
 
     def unit(self, unit_id: str) -> SynchronousUnit:
         for u in self.units:

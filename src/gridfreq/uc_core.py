@@ -22,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .freq_dynamics import fleet_damping
+from .freq_dynamics import frequency_weights
 from .nadir_linearization import NadirBounds, PwlFit
 from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
 from .solver import INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
-                     SynchronousUnit, load_system,
+                     SynchronousUnit, load_system, s_base,
                      system_from_dict)
 
 FREQ_MODES = ("off", "bounds", "pwl")
@@ -133,13 +133,11 @@ class UcInstance:
 
     @property
     def s_base(self) -> float:
-        return (sum(u.p_max for u in self.units)
-                + self.fleet.vsm_capacity + self.fleet.droop_capacity)
+        return s_base(self.units, self.fleet)
 
     @property
     def m_v(self) -> float:
-        return (2.0 * self.fleet.vsm_inertia_h * self.fleet.vsm_gain
-                * self.fleet.vsm_capacity / self.s_base)
+        return frequency_weights(self.units, self.fleet).m_v
 
     def validate(self) -> None:
         if self.freq_mode not in FREQ_MODES:
@@ -221,16 +219,6 @@ class UcSolution:
         return self.status in ("optimal", "timeout") and self.u is not None
 
 
-def _freq_constants(instance: UcInstance):
-    s_base = instance.s_base
-    c = np.array([u.p_max * u.gain_k / s_base for u in instance.units])
-    r_w = c / np.array([u.droop for u in instance.units])
-    f_w = np.array([u.turbine_fraction for u in instance.units]) * r_w
-    m_w = 2.0 * np.array([u.inertia_h for u in instance.units]) * c
-    d_const = fleet_damping(instance.units, instance.fleet, s_base)
-    return r_w, f_w, m_w, d_const
-
-
 def build_model(instance: UcInstance) -> BuiltModel:
     """Assemble the full two-stage MILP for one scheduling day."""
     instance.validate()
@@ -248,19 +236,19 @@ def build_model(instance: UcInstance) -> BuiltModel:
             wind[j, s, :] = scen.realization[farm.id][:T]
 
     m = SolverModel()
-    u = m.add_vars(I * T, 0, 1, binary=True, name="u").reshape(I, T)
+    u = m.add_vars(I * T, 0, 1, binary=True).reshape(I, T)
     # startup/shutdown indicators relax exactly: with positive costs and
     # the switching rows they take 0/1 values whenever u is integral
-    y = m.add_vars(I * T, 0, 1, name="y").reshape(I, T)
-    z = m.add_vars(I * T, 0, 1, name="z").reshape(I, T)
-    p = m.add_vars(I * T, 0, INF, name="p").reshape(I, T)
-    w = m.add_vars(J * T, 0, INF, name="w").reshape(J, T)
-    delta_da = m.add_vars(N * T, -INF, INF, name="da").reshape(N, T)
-    delta_rt = m.add_vars(N * S * T, -INF, INF, name="rt").reshape(N, S, T)
-    r_up = m.add_vars(I * S * T, 0, INF, name="rp").reshape(I, S, T)
-    r_dn = m.add_vars(I * S * T, 0, INF, name="rm").reshape(I, S, T)
-    spill = m.add_vars(J * S * T, 0, INF, name="sp").reshape(J, S, T)
-    shed = m.add_vars(N * S * T, 0, INF, name="sh").reshape(N, S, T)
+    y = m.add_vars(I * T, 0, 1).reshape(I, T)
+    z = m.add_vars(I * T, 0, 1).reshape(I, T)
+    p = m.add_vars(I * T, 0, INF).reshape(I, T)
+    w = m.add_vars(J * T, 0, INF).reshape(J, T)
+    delta_da = m.add_vars(N * T, -INF, INF).reshape(N, T)
+    delta_rt = m.add_vars(N * S * T, -INF, INF).reshape(N, S, T)
+    r_up = m.add_vars(I * S * T, 0, INF).reshape(I, S, T)
+    r_dn = m.add_vars(I * S * T, 0, INF).reshape(I, S, T)
+    spill = m.add_vars(J * S * T, 0, INF).reshape(J, S, T)
+    shed = m.add_vars(N * S * T, 0, INF).reshape(N, S, T)
     vm = VarMap(u, y, z, p, w, delta_da, delta_rt, r_up, r_dn, spill, shed)
 
     # simple variable bounds standing in for pure box constraints
@@ -448,8 +436,8 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     written directly on u.
     """
     units, tree, limits = instance.units, instance.tree, instance.limits
-    r_w, f_w, m_w, d_const = _freq_constants(instance)
-    m_v = instance.m_v
+    fw = frequency_weights(units, instance.fleet)
+    r_w, f_w, m_w, d_const, m_v = fw.r_w, fw.f_w, fw.m_w, fw.d, fw.m_v
     alpha = tree.availability
     f_b = limits.f_base
     S, T = len(tree.scenarios), instance.horizon
@@ -481,7 +469,7 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
                          tag=f"nadir_m[{s},{t}]")
             else:
                 fit = instance.pwl_fits[outage_of[s]]
-                t3 = m.add_var(-INF, INF, name=f"t3[{s},{t}]")
+                t3 = m.add_var(-INF, INF)
                 vm.t3[(s, t)] = t3
                 for v, seg in enumerate(fit.segments):
                     entries = [(t3, -1.0)]
@@ -502,16 +490,14 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
     u = np.rint(x[vm.u]).astype(int)
     y = np.rint(x[vm.y]).astype(int)
     z = np.rint(x[vm.z]).astype(int)
-    r_w, f_w, m_w, _ = _freq_constants(inst)
-    s_base = inst.s_base
-    c = np.array([un.p_max * un.gain_k / s_base for un in inst.units])
+    fw = frequency_weights(inst.units, inst.fleet)
     alpha = inst.tree.availability
-    # k_{i,s,t} = c_i * u_{i,t} * alpha_{s,i,t}, reshaped to (I, S, T)
-    k = (c[None, :, None] * u[None, :, :] * alpha).transpose(1, 0, 2)
+    # k_{i,s,t} = k_i * u_{i,t} * alpha_{s,i,t}, reshaped to (I, S, T)
+    k = (fw.k[None, :, None] * u[None, :, :] * alpha).transpose(1, 0, 2)
     ualpha = u[None, :, :] * alpha     # (S, I, T)
-    f_sys = np.einsum("sit,i->st", ualpha, f_w)
-    r_sys = np.einsum("sit,i->st", ualpha, r_w)
-    m_sys = np.einsum("sit,i->st", ualpha, m_w)
+    f_sys = np.einsum("sit,i->st", ualpha, fw.f_w)
+    r_sys = np.einsum("sit,i->st", ualpha, fw.r_w)
+    m_sys = np.einsum("sit,i->st", ualpha, fw.m_w)
 
     sol = UcSolution(
         status=res.status, objective=res.objective, mip_gap=res.mip_gap,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gridfreq.freq_dynamics import (AggregateParams, FrequencyModelError,
                                     aggregate_params, check_limits,
                                     fleet_damping, frequency_metrics,
-                                    second_order_char,
+                                    nadir_closed_form,
                                     simulate_step_response)
 from gridfreq.system import ConverterFleet, FrequencyLimits
 
@@ -72,24 +72,15 @@ class TestAggregation:
 
 
 class TestSecondOrder:
-    def test_frozen_characteristics(self):
-        char = second_order_char(single_nuclear_agg())
-        assert char.omega_n == pytest.approx(0.6376076927146315, rel=1e-12)
-        assert char.zeta == pytest.approx(0.7099418721968989, rel=1e-12)
-        assert char.t_nadir == pytest.approx(2.1531648853798036, rel=1e-12)
-        assert not char.overdamped
-
-    def test_nadir_time_is_trajectory_minimum(self):
-        agg = single_nuclear_agg()
-        char = second_order_char(agg)
-        ts, df = simulate_step_response(agg, 0.05, horizon_s=30.0)
-        assert abs(ts[np.argmin(df)] - char.t_nadir) < 2e-3
-
-    def test_nonpositive_inertia_rejected(self):
+    def test_nonpositive_inertia_rejected(self, limits):
         agg = AggregateParams(m=0.0, m_v=0.0, d=0.6, r_g=20.0, f_g=5.0,
                               t_turbine=7.0, s_base=100.0)
-        with pytest.raises(FrequencyModelError):
-            second_order_char(agg)
+        with pytest.raises(FrequencyModelError, match="inertia"):
+            frequency_metrics(agg, 0.05, limits)
+        agg = AggregateParams(m=8.0, m_v=0.0, d=-0.6, r_g=0.5, f_g=0.1,
+                              t_turbine=7.0, s_base=100.0)
+        with pytest.raises(FrequencyModelError, match="damping"):
+            frequency_metrics(agg, 0.05, limits)
 
 
 class TestMetrics:
@@ -129,14 +120,82 @@ class TestMetrics:
                                                  rel=1e-9)
 
     def test_overdamped_branch_matches_simulation(self, limits):
-        # heavy inertia with weak droop drives zeta above 1
-        agg = AggregateParams(m=40.0, m_v=0.0, d=0.3, r_g=1.2, f_g=0.2,
-                              t_turbine=7.0, s_base=100.0)
-        char = second_order_char(agg)
-        assert char.overdamped and char.zeta >= 1.0
-        met = frequency_metrics(agg, 0.05, limits)
-        _, df = simulate_step_response(agg, 0.05, horizon_s=60.0)
-        assert met.nadir_hz == pytest.approx(-df.min(), rel=1e-6)
+        cases = [
+            # heavy inertia with weak droop: monotone, the nadir is the
+            # steady state, reached only after several minutes
+            (AggregateParams(m=40.0, m_v=0.0, d=0.3, r_g=1.2, f_g=0.2,
+                             t_turbine=7.0, s_base=100.0), 1.6666666666666667),
+            # large turbine share: overshoots before settling
+            (AggregateParams(m=2.0, m_v=0.0, d=0.5, r_g=10.0, f_g=9.0,
+                             t_turbine=7.0, s_base=100.0), 0.259389),
+        ]
+        for agg, nadir in cases:
+            met = frequency_metrics(agg, 0.05, limits)
+            _, df = simulate_step_response(agg, 0.05, horizon_s=600.0)
+            assert met.nadir_hz == pytest.approx(-df.min(), rel=1e-6)
+            assert met.nadir_hz == pytest.approx(nadir, rel=1e-6)
+
+
+# Criterion 3's parameter box (f_share is f_g / r_g), plus two boxes where
+# every point is overdamped: a large turbine share overshoots, heavy
+# inertia with weak droop settles monotonically.
+CRITERION_3_BOX = dict(m=(4.0, 15.0), m_v=(0.0, 3.0), d=(0.3, 1.2),
+                       r_g=(5.0, 30.0), f_share=(0.1, 0.4))
+OVERSHOOT_BOX = dict(m=(1.0, 4.0), m_v=(0.0, 1.0), d=(0.3, 1.2),
+                     r_g=(5.0, 30.0), f_share=(0.7, 0.95))
+MONOTONE_BOX = dict(m=(40.0, 80.0), m_v=(0.0, 3.0), d=(0.2, 0.5),
+                    r_g=(0.5, 1.2), f_share=(0.1, 0.4))
+
+
+@st.composite
+def aggregates(draw, box):
+    v = {k: draw(st.floats(lo, hi)) for k, (lo, hi) in box.items()}
+    return AggregateParams(m=v["m"], m_v=v["m_v"], d=v["d"], r_g=v["r_g"],
+                           f_g=v["r_g"] * v["f_share"], t_turbine=7.0,
+                           s_base=100.0)
+
+
+def vectorized_nadir(agg, delta_p, limits):
+    return float(nadir_closed_form(agg.m_eff, agg.d, agg.r_g, agg.f_g,
+                                   agg.t_turbine, delta_p, limits.f_base))
+
+
+class TestClosedFormAgreement:
+    """Scalar metrics, the vectorized nadir and RK4 describe one model."""
+
+    @given(agg=st.one_of(aggregates(CRITERION_3_BOX),
+                         aggregates(OVERSHOOT_BOX),
+                         aggregates(MONOTONE_BOX)),
+           dp=st.floats(0.01, 0.1))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_matches_vectorized(self, agg, dp):
+        limits = FrequencyLimits()
+        met = frequency_metrics(agg, dp, limits)
+        assert met.nadir_hz == pytest.approx(
+            vectorized_nadir(agg, dp, limits), rel=1e-9)
+
+    def test_both_match_simulation(self, limits):
+        examples = [
+            # underdamped, inside criterion 3's box
+            AggregateParams(m=8.0, m_v=1.5, d=0.6, r_g=20.0, f_g=5.0,
+                            t_turbine=7.0, s_base=100.0),
+            # overdamped with an overshoot: large turbine share
+            AggregateParams(m=2.5, m_v=0.5, d=0.8, r_g=12.0, f_g=10.0,
+                            t_turbine=7.0, s_base=100.0),
+            # overdamped and monotone: heavy inertia, weak droop
+            AggregateParams(m=50.0, m_v=1.0, d=0.3, r_g=0.9, f_g=0.2,
+                            t_turbine=7.0, s_base=100.0),
+        ]
+        for agg in examples:
+            met = frequency_metrics(agg, 0.05, limits)
+            # long enough for the slowest pole to settle
+            ts, df = simulate_step_response(agg, 0.05, horizon_s=600.0)
+            nadir, ss = -df.min(), -df[-1]
+            rocof = -(df[1] - df[0]) / (ts[1] - ts[0])
+            for value in (met.nadir_hz, vectorized_nadir(agg, 0.05, limits)):
+                assert abs(value - nadir) / nadir < 0.01
+            assert abs(met.rocof_hz_s - rocof) / rocof < 0.005
+            assert abs(met.ss_dev_hz - ss) / ss < 0.001
 
 
 class TestSimulator:

@@ -70,9 +70,6 @@ class TestEnumeration:
     def test_point_view_roundtrip(self, fleet_conv, limits):
         cloud = enumerate_commitments(small_fleet(), "out", fleet_conv,
                                       limits, 7.0)
-        pt = cloud.point(5)
-        assert pt.mask == 5
-        assert pt.m == cloud.m[5]
         assert cloud.mask_of({"big", "low"}) == 0b101
 
     def test_unknown_outage(self, fleet_conv, limits):
