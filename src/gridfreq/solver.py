@@ -17,7 +17,9 @@ INF = float("inf")
 
 @dataclass
 class SolveResult:
-    status: str                  # optimal | feasible-gap | infeasible | timeout
+    # optimal; timeout, with or without a point; infeasible, which also
+    # covers unbounded and any other HiGHS failure
+    status: str
     x: np.ndarray | None
     objective: float | None
     mip_gap: float | None
@@ -39,6 +41,10 @@ class SolverModel:
     row_lo: list[float] = field(default_factory=list)
     row_hi: list[float] = field(default_factory=list)
     row_tags: list[str] = field(default_factory=list)
+    # CSR of row_entries, built on demand and dropped when a column or row
+    # is added, so repeated solves and residual checks share one assembly
+    _csr: sp.csr_matrix | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -53,6 +59,7 @@ class SolverModel:
         self.lb.append(lb)
         self.ub.append(ub)
         self.is_int.append(binary)
+        self._csr = None
         return len(self.lb) - 1
 
     def add_vars(self, n: int, lb: float = 0.0, ub: float = INF,
@@ -61,6 +68,7 @@ class SolverModel:
         self.lb.extend([lb] * n)
         self.ub.extend([ub] * n)
         self.is_int.extend([binary] * n)
+        self._csr = None
         return np.arange(start, start + n)
 
     def add_row(self, entries: list[tuple[int, float]], lo: float, hi: float,
@@ -72,6 +80,7 @@ class SolverModel:
         self.row_lo.append(lo)
         self.row_hi.append(hi)
         self.row_tags.append(tag)
+        self._csr = None
         return len(self.row_entries) - 1
 
     def add_le(self, entries, rhs, tag: str = "") -> int:
@@ -87,14 +96,16 @@ class SolverModel:
         self.obj = dict(coeffs)
 
     def matrix(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for r, entries in enumerate(self.row_entries):
-            for idx, coef in entries:
-                rows.append(r)
-                cols.append(idx)
-                vals.append(coef)
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(self.n_rows, self.n_vars))
+        if self._csr is None:
+            rows, cols, vals = [], [], []
+            for r, entries in enumerate(self.row_entries):
+                for idx, coef in entries:
+                    rows.append(r)
+                    cols.append(idx)
+                    vals.append(coef)
+            self._csr = sp.csr_matrix((vals, (rows, cols)),
+                                      shape=(self.n_rows, self.n_vars))
+        return self._csr
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)

@@ -446,6 +446,10 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     for s in range(S):
         for t in range(T):
             dp = tree.outage_size[s, t]
+            # with no outage every row below reads (coefficients >= 0) . u
+            # >= a bound <= 0, which any commitment meets
+            if dp <= 0:
+                continue
             a = alpha[s, :, t]
             m_entries = [(vm.u[i, t], m_w[i]) for i in range(len(units))
                          if a[i]]
@@ -459,8 +463,6 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
             # quasi steady state: (ss_lim/f_b) * (D + R) >= dP
             m.add_ge(r_entries, dp * f_b / limits.ss_lim - d_const,
                      tag=f"qss[{s},{t}]")
-            if dp <= 0:
-                continue
             if instance.freq_mode == "bounds":
                 bounds = instance.nadir_bounds[outage_of[s]]
                 m.add_ge(f_entries, bounds.f_lim, tag=f"nadir_f[{s},{t}]")
@@ -546,44 +548,72 @@ def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
             "reserves": reserves, "shed": shed}
 
 
+# HiGHS's default primal feasibility tolerance: a row over fixed columns
+# that misses its bounds by more makes the LP infeasible
+_FEAS_TOL = 1e-7
+
+
+def _commitment_patterns(built: BuiltModel):
+    """Every u pattern in ``itertools.product`` order, with the implied y, z.
+
+    Yields ``(cols, vals, passes)``: the u, y and z columns, their fixed
+    values, and whether those values keep u within its bounds and satisfy,
+    within ``_FEAS_TOL``, every row with no entry outside these columns.
+    A pattern that does not pass is infeasible; one that passes needs an LP.
+    """
+    m, vm, inst = built.model, built.vars, built.instance
+    I, T = vm.u.shape
+    cols = np.concatenate([vm.u.ravel(), vm.y.ravel(), vm.z.ravel()])
+    a = m.matrix()
+    other = np.ones(m.n_vars, dtype=bool)
+    other[cols] = False
+    rows = np.flatnonzero(a[:, other].getnnz(axis=1) == 0)
+    # u's bounds screen as identity rows below the fixed rows
+    g = np.vstack([a[rows][:, cols].toarray(), np.eye(I * T, len(cols))])
+    u_cols = vm.u.ravel()
+    lo = np.concatenate([np.array(m.row_lo)[rows], np.array(m.lb)[u_cols]])
+    hi = np.concatenate([np.array(m.row_hi)[rows], np.array(m.ub)[u_cols]])
+    u0 = np.array([[int(inst.initial.commitment.get(unit.id, 0))]
+                   for unit in inst.units])
+    for pattern in itertools.product((0, 1), repeat=I * T):
+        u = np.array(pattern).reshape(I, T)
+        du = np.diff(u, axis=1, prepend=u0)
+        vals = np.concatenate([u.ravel(), np.maximum(du, 0).ravel(),
+                               np.maximum(-du, 0).ravel()]).astype(float)
+        gx = g @ vals
+        passes = not (np.any(lo - gx > _FEAS_TOL)
+                      or np.any(gx - hi > _FEAS_TOL))
+        yield cols, vals, passes
+
+
 def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     """Exhaustive commitment enumeration as a testing oracle.
 
     Fixes every u (and the implied y, z) pattern and solves the remaining
     continuous problem with the same model builder, keeping the best
-    feasible solution.
+    feasible solution. Patterns that break u's bounds or a row over the
+    commitment variables alone (min up/down, startup/shutdown, and the
+    RoCoF, quasi-steady-state and nadir-bound rows) are skipped without
+    an LP.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
         raise InstanceTooLargeError(
             f"{I * T} binary decisions exceed the brute-force limit of 16")
     built = build_model(instance)
-    m, vm = built.model, built.vars
+    m = built.model
     backend = backend or get_backend()
-    u0 = {u.id: int(instance.initial.commitment.get(u.id, 0))
-          for u in instance.units}
 
     base_lb = list(m.lb)
     base_ub = list(m.ub)
     best: UcSolution | None = None
-    for pattern in itertools.product((0, 1), repeat=I * T):
-        u = np.array(pattern).reshape(I, T)
+    for cols, vals, passes in _commitment_patterns(built):
+        if not passes:
+            continue
         m.lb = list(base_lb)
         m.ub = list(base_ub)
-        feasible = True
-        for i, unit in enumerate(instance.units):
-            prev = u0[unit.id]
-            for t in range(T):
-                if base_lb[vm.u[i, t]] > u[i, t] or base_ub[vm.u[i, t]] < u[i, t]:
-                    feasible = False
-                yv = max(0, u[i, t] - prev)
-                zv = max(0, prev - u[i, t])
-                m.lb[vm.u[i, t]] = m.ub[vm.u[i, t]] = float(u[i, t])
-                m.lb[vm.y[i, t]] = m.ub[vm.y[i, t]] = float(yv)
-                m.lb[vm.z[i, t]] = m.ub[vm.z[i, t]] = float(zv)
-                prev = u[i, t]
-        if not feasible:
-            continue
+        for c, v in zip(cols, vals.tolist()):
+            m.lb[c] = m.ub[c] = v
         res = backend.solve(m, mip_gap=1e-9, time_limit=60.0)
         if res.status != "optimal":
             continue

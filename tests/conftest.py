@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridfreq.system import ConverterFleet, FrequencyLimits, \
     SynchronousUnit
+
+# property tests draw the same examples on every machine and every run
+settings.register_profile("gridfreq", derandomize=True)
+settings.load_profile("gridfreq")
 
 
 def make_unit(uid="g1", bus="n1", p_max=200.0, p_min=50.0, **overrides):

@@ -8,11 +8,12 @@ from gridfreq.nadir_linearization import (enumerate_commitments,
                                           extract_bounds, fit_pwl,
                                           make_nadir_fn, nadir_grid)
 from gridfreq.scenarios import ContingencyModel, WindScenario, build_tree
+from gridfreq.solver import HighsBackend
 from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
-                              UcModelError, WindFarm, brute_force_uc,
-                              build_model, dump_solution, load_instance,
-                              residual_scale, solve)
+                              UcModelError, WindFarm, _commitment_patterns,
+                              brute_force_uc, build_model, dump_solution,
+                              load_instance, residual_scale, solve)
 
 from conftest import make_unit
 
@@ -44,14 +45,14 @@ def two_units():
 
 def small_instance(horizon=4, freq_mode="off", wind=None,
                    contingency=True, initial=None, units=None,
-                   fleet=None, **kwargs):
+                   fleet=None, outage="g2", **kwargs):
     units = units or two_units()
     fleet = fleet or ConverterFleet(vsm_capacity=80.0, droop_capacity=40.0)
     net = two_bus_network(horizon)
     if wind is None:
         wind = [WindScenario("s1", 0.5, {"w1": [40, 60, 50, 30][:horizon]}),
                 WindScenario("s2", 0.5, {"w1": [20, 10, 15, 25][:horizon]})]
-    outages = ["g2"] if contingency else []
+    outages = [outage] if contingency else []
     cm = ContingencyModel(credible_outages=outages,
                           contingency_hour=min(1, horizon - 1), lam=1e-3)
     s_base = sum(u.p_max for u in units) + 120.0
@@ -279,6 +280,48 @@ def test_validation_errors():
     net.lines[0].node_to = "zz"
     with pytest.raises(UcModelError, match="unknown node"):
         net.validate(4)
+
+
+def small_bounds_instance():
+    # three hours of three units, secured against losing the smallest
+    units = two_units() + [
+        make_unit(uid="g3", bus="n2", p_max=30.0, p_min=10.0,
+                  cost_energy=55.0, cost_startup=150.0, inertia_h=4.5,
+                  gain_k=0.98, turbine_fraction=0.25, droop=0.04)]
+    fleet, limits = ConverterFleet(80.0, 40.0), FrequencyLimits()
+    cloud = enumerate_commitments(units, "g3", fleet, limits, 7.0)
+    return small_instance(horizon=3, freq_mode="bounds", units=units,
+                          fleet=fleet, outage="g3",
+                          nadir_bounds={"g3": extract_bounds(cloud, limits)})
+
+
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+def test_brute_force_screen_is_sound(make):
+    inst = make()
+    built = build_model(inst)
+    m = built.model
+    lb, ub = np.array(m.lb), np.array(m.ub)
+    passed = rejected = 0
+    for cols, vals, passes in _commitment_patterns(built):
+        if passes:
+            passed += 1
+            continue
+        rejected += 1
+        m.lb, m.ub = lb.copy(), ub.copy()
+        m.lb[cols] = m.ub[cols] = vals
+        assert HighsBackend().solve(m, mip_gap=1e-9).status == "infeasible"
+    assert passed and rejected
+
+    class Counting(HighsBackend):
+        calls = 0
+
+        def solve(self, model, **kwargs):
+            self.calls += 1
+            return super().solve(model, **kwargs)
+
+    backend = Counting()
+    brute_force_uc(inst, backend=backend)
+    assert backend.calls == passed
 
 
 def test_brute_force_guard():
