@@ -10,6 +10,7 @@ independent numerical oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,34 @@ def frequency_metrics(agg: AggregateParams, delta_p: float,
                             ss_dev_hz=f_b * delta_p / (d + r_g))
 
 
+def _rk4_transition(agg: AggregateParams, delta_p: float, dt: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step of the model as ``x+ = phi x + gamma``, ``y = c x``.
+
+    Controllable canonical form: x' = A x + B u with u = -delta_p and
+    y = (1/(m_eff*t)) * (x1 + t*x2).  For x' = A x + b the classical RK4
+    step is the truncated matrix-exponential series below.
+    """
+    m_eff, d, r_g, t = agg.m_eff, agg.d, agg.r_g, agg.t_turbine
+    if m_eff <= 0:
+        raise FrequencyModelError("nonpositive effective inertia")
+    if t <= 0:
+        raise FrequencyModelError("t_turbine must be > 0")
+    wn2 = (d + r_g) / (m_eff * t)
+    if wn2 <= 0:
+        raise FrequencyModelError("unstable parameterization: omega_n^2 <= 0")
+    two_zeta_wn = (m_eff + t * (d + agg.f_g)) / (m_eff * t)
+
+    a = np.array([[0.0, 1.0], [-wn2, -two_zeta_wn]])
+    b = np.array([0.0, -delta_p])
+    a2 = a @ a
+    a3 = a2 @ a
+    eye = np.eye(2)
+    phi = eye + dt * a + dt**2 / 2 * a2 + dt**3 / 6 * a3 + dt**4 / 24 * a3 @ a
+    gamma = (dt * eye + dt**2 / 2 * a + dt**3 / 6 * a2 + dt**4 / 24 * a3) @ b
+    return phi, gamma, np.array([1.0 / (m_eff * t), 1.0 / m_eff])
+
+
 def simulate_step_response(agg: AggregateParams, delta_p: float,
                            horizon_s: float = 60.0, dt: float = 1e-3,
                            f_base: float = 50.0) -> tuple[np.ndarray, np.ndarray]:
@@ -221,48 +250,50 @@ def simulate_step_response(agg: AggregateParams, delta_p: float,
     realization of the transfer function with a turbine zero, so the
     initial slope equals the analytic RoCoF and the tail converges to the
     quasi-steady-state deviation.  For the constant-input LTI system the
-    classical RK4 step reduces to a fixed 2x2 transition matrix, applied
-    here once per step for determinism.
+    classical RK4 step reduces to a fixed 2x2 transition, x+ = phi x +
+    gamma from x = 0.  It is applied in blocks of L = ceil(sqrt(n))
+    steps: with x at a block start, the block's states are
+    phi^j x + sum_{i<j} phi^i gamma for j < L, and the next block starts
+    from phi^L x + sum_{i<L} phi^i gamma.  Both the powers and the
+    partial sums come from the per-step recurrence, and every product is
+    written out elementwise, so the result does not depend on a BLAS.
     """
     if dt <= 0:
         raise FrequencyModelError("dt must be > 0")
     if horizon_s < 20.0:
         raise FrequencyModelError("horizon_s must be >= 20 s")
-    m_eff, d, r_g, t = agg.m_eff, agg.d, agg.r_g, agg.t_turbine
-    if m_eff <= 0:
-        raise FrequencyModelError("nonpositive effective inertia")
-    wn2 = (d + r_g) / (m_eff * t)
-    if wn2 <= 0:
-        raise FrequencyModelError("unstable parameterization: omega_n^2 <= 0")
-    two_zeta_wn = (m_eff + t * (d + agg.f_g)) / (m_eff * t)
+    phi, gamma, c = _rk4_transition(agg, delta_p, dt)
 
     n = int(round(horizon_s / dt)) + 1
     ts = np.arange(n) * dt
     if delta_p == 0:
         return ts, np.zeros(n)
 
-    # Controllable canonical form: x' = A x + B u with u = -delta_p,
-    # y = (1/(m_eff*t)) * (x1 + t*x2).
-    a = np.array([[0.0, 1.0], [-wn2, -two_zeta_wn]])
-    b = np.array([0.0, -delta_p])
-    # RK4 for x' = A x + b is x+ = Phi x + Gamma with the truncated
-    # matrix-exponential series below.
-    a2 = a @ a
-    a3 = a2 @ a
-    eye = np.eye(2)
-    phi = eye + dt * a + dt**2 / 2 * a2 + dt**3 / 6 * a3 + dt**4 / 24 * a3 @ a
-    gamma = (dt * eye + dt**2 / 2 * a + dt**3 / 6 * a2 + dt**4 / 24 * a3) @ b
-
     p11, p12 = phi[0]
     p21, p22 = phi[1]
     g1, g2 = gamma
-    c1, c2 = 1.0 / (m_eff * t), 1.0 / m_eff
+    c1, c2 = c
+    block = math.ceil(math.sqrt(n))
+    # row j: c phi^j (two columns) and c sum_{i<j} phi^i gamma
+    cp = np.empty((block, 2))
+    cs = np.empty(block)
+    q11, q12, q21, q22 = 1.0, 0.0, 0.0, 1.0    # phi^j
+    s1 = s2 = 0.0                              # sum_{i<j} phi^i gamma
+    for j in range(block):
+        cp[j] = c1 * q11 + c2 * q21, c1 * q12 + c2 * q22
+        cs[j] = c1 * s1 + c2 * s2
+        q11, q12, q21, q22 = (p11 * q11 + p12 * q21, p11 * q12 + p12 * q22,
+                              p21 * q11 + p22 * q21, p21 * q12 + p22 * q22)
+        s1, s2 = p11 * s1 + p12 * s2 + g1, p21 * s1 + p22 * s2 + g2
+    # after the loop q is phi^L and s is sum_{i<L} phi^i gamma
+    n_blocks = -(-n // block)
+    starts = np.empty((n_blocks, 2))
     x1 = x2 = 0.0
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = c1 * x1 + c2 * x2
-        x1, x2 = p11 * x1 + p12 * x2 + g1, p21 * x1 + p22 * x2 + g2
-    return ts, f_base * y
+    for k in range(n_blocks):
+        starts[k] = x1, x2
+        x1, x2 = q11 * x1 + q12 * x2 + s1, q21 * x1 + q22 * x2 + s2
+    y = (starts[:, :1] * cp[:, 0] + starts[:, 1:] * cp[:, 1] + cs).ravel()
+    return ts, f_base * y[:n]
 
 
 def check_limits(metrics: FrequencyMetrics,

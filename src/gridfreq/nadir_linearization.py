@@ -123,12 +123,14 @@ def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
     delta_p = failed.p_max / w.s_base
     n = len(survivor_idx)
 
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    # little-endian bytes of each mask, unpacked least significant bit first
+    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(masks, axis=1, count=n,
+                         bitorder="little").astype(float)
     m = bits @ w.m_w[survivor_idx]
     r_g = bits @ w.r_w[survivor_idx]
     f_g = bits @ w.f_w[survivor_idx]
-    d = np.full(len(masks), w.d)
+    d = np.full(len(bits), w.d)
 
     nadir = nadir_closed_form(m + w.m_v, d, r_g, f_g, t_turbine, delta_p,
                               limits.f_base)
@@ -165,7 +167,7 @@ def extract_bounds(cloud: CommitmentCloud,
         raise LinearizationError(
             "system cannot meet nadir limit: no safe commitment pattern")
     if len(cloud) > 1 << 12:
-        return _extract_bounds_binned(cloud, limits)
+        return _extract_bounds_binned(cloud)
 
     f, r, m, safe = cloud.f_g, cloud.r_g, cloud.m, cloud.safe
     f_vals = np.unique(f)
@@ -227,7 +229,7 @@ def extract_bounds(cloud: CommitmentCloud,
     return bounds
 
 
-def _extract_bounds_binned(cloud: CommitmentCloud, limits: FrequencyLimits,
+def _extract_bounds_binned(cloud: CommitmentCloud,
                            n_bins: int = 64) -> NadirBounds:
     """Quantile-binned bound search for large clouds.
 
@@ -262,32 +264,31 @@ def _extract_bounds_binned(cloud: CommitmentCloud, limits: FrequencyLimits,
     smb = np.searchsorted(m_edges, m[safe], side="right") - 1
     sfb = np.searchsorted(f_edges, f[safe], side="right") - 1
     srb = np.searchsorted(r_edges, r[safe], side="right") - 1
-    counts = np.zeros((len(m_edges), len(f_edges), len(r_edges)))
-    np.add.at(counts, (smb, sfb, srb), 1.0)
+    shape = (len(m_edges), len(f_edges), len(r_edges))
+    cell = np.ravel_multi_index((smb, sfb, srb), shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
     for axis in range(3):
         counts = np.flip(np.cumsum(np.flip(counts, axis), axis=axis), axis)
 
-    best = None
-    for i, m_lim in enumerate(m_edges):
-        for j, f_lim in enumerate(f_edges):
-            if np.isinf(maxr[i, j]):
-                r_lim = float(r_vals[0])
-            else:
-                idx = np.searchsorted(r_vals, maxr[i, j], side="right")
-                if idx >= len(r_vals):
-                    continue
-                r_lim = float(r_vals[idx])
-            k = np.searchsorted(r_edges, r_lim, side="left")
-            n_safe = counts[i, j, k] if k < len(r_edges) else 0.0
-            key = (-n_safe, float(m_lim), r_lim)
-            if best is None or key < best[0]:
-                best = (key, NadirBounds(delta_p=cloud.delta_p,
-                                         f_lim=float(f_lim), r_lim=r_lim,
-                                         m_lim=float(m_lim)))
-    if best is None:
+    # one candidate per (m_lim, f_lim) cell: the smallest r above the
+    # cell's largest unsafe r (r_vals[0] when it holds none); a cell whose
+    # largest unsafe r is the largest r in the cloud has no candidate
+    idx = np.searchsorted(r_vals, maxr, side="right")
+    ci, cj = np.nonzero(idx < len(r_vals))
+    if len(ci) == 0:
         raise LinearizationError(
             "system cannot meet nadir limit: no admissible box")
-    bounds = best[1]
+    r_lim = r_vals[idx[ci, cj]]
+    k = np.searchsorted(r_edges, r_lim, side="left")
+    n_safe = np.where(k < len(r_edges),
+                      counts[ci, cj, np.minimum(k, len(r_edges) - 1)], 0)
+    # most admitted safe points, then smaller m_lim, then smaller r_lim;
+    # the sort is stable, so a full tie keeps the first cell in (m, f) order
+    best = np.lexsort((r_lim, m_edges[ci], -n_safe))[0]
+    bounds = NadirBounds(delta_p=cloud.delta_p,
+                         f_lim=float(f_edges[cj[best]]),
+                         r_lim=float(r_lim[best]),
+                         m_lim=float(m_edges[ci[best]]))
     box = admitted(cloud, bounds)
     assert not np.any(box & ~cloud.safe), "admitted an unsafe point"
     return bounds

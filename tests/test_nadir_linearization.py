@@ -103,6 +103,23 @@ class TestBoundExtraction:
         assert not np.any(box & ~cloud.safe)
         assert np.any(box & cloud.safe)
 
+    # computed before the binned search was vectorized; both clouds take
+    # the binned path (more than 2**12 points)
+    @pytest.mark.parametrize("n_units, seed, expected", [
+        (15, 3, ("0x1.3f3ffe65c6322p-5", "0x0.0p+0",
+                 "0x1.2797c4ee5cba5p+3", "0x0.0p+0")),
+        # criterion 5's fleet
+        (20, 7, ("0x1.b2ac585c50a13p-5", "0x1.e86ccf637845dp+1",
+                 "0x1.cdb3dff3f66e3p+3", "0x1.ac5e638b35968p+1")),
+    ])
+    def test_binned_bounds_frozen(self, limits, n_units, seed, expected):
+        fleet = ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0)
+        cloud = enumerate_commitments(synthetic_fleet(n_units, seed=seed),
+                                      "u1", fleet, limits, 7.0)
+        b = extract_bounds(cloud, limits)
+        assert (b.delta_p.hex(), b.f_lim.hex(), b.r_lim.hex(),
+                b.m_lim.hex()) == expected
+
     def test_all_unsafe_raises(self, fleet_conv, limits):
         units = small_fleet()
         tight = FrequencyLimits(nadir_lim=1e-6)
