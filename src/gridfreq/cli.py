@@ -85,16 +85,12 @@ def cmd_solve(args) -> int:
     instance = load_instance(args.config, freq_mode=args.freq_mode)
     if instance.freq_mode in ("bounds", "pwl"):
         from .study import prepare_surrogates
-        surr = prepare_surrogates(
+        instance.surrogates = prepare_surrogates(
             instance.units, instance.fleet, instance.limits,
             instance.t_turbine,
             sorted({s.outage_unit for s in instance.tree.scenarios
                     if s.outage_unit is not None}),
             instance.freq_mode, args.seed)
-        if instance.freq_mode == "bounds":
-            instance.nadir_bounds = surr
-        else:
-            instance.pwl_fits = surr
     built = build_model(instance)
     sol = solve(built, mip_gap=args.mip_gap, time_limit=args.time_limit,
                 backend=get_backend())

@@ -428,23 +428,6 @@ def make_nadir_fn(d: float, t_turbine: float, delta_p: float,
     return fn
 
 
-def pwl_constraint_rows(fit: PwlFit, limits: FrequencyLimits) -> list[dict]:
-    """Solver-agnostic epigraph rows for the max-affine nadir surrogate.
-
-    Variables are named ``r_g``, ``f_g``, ``m`` and the auxiliary ``t3``;
-    each segment contributes ``a*r_g + b*f_g + c*m - t3 <= -d`` and one
-    final row caps ``t3`` (in Hz, matching the fitted surface) at the
-    nadir limit.
-    """
-    rows = []
-    for s in fit.segments:
-        rows.append({"coeffs": {"r_g": s.a, "f_g": s.b, "m": s.c, "t3": -1.0},
-                     "sense": "<=", "rhs": -s.d})
-    rows.append({"coeffs": {"t3": 1.0}, "sense": "<=",
-                 "rhs": limits.nadir_lim})
-    return rows
-
-
 def benchmark_linearizations(units: Sequence[SynchronousUnit],
                              outage_unit: str, fleet: ConverterFleet,
                              limits: FrequencyLimits, t_turbine: float,

@@ -59,8 +59,7 @@ def _load_run(study_dir: Path, sub: str, config: StudyConfig, template,
         sol = load_day_solution(day_dir, instance)
         days.append(DayResult(day=day, freq_mode=mode, instance=instance,
                               solution=sol))
-    return StudyResult(config=config, template=template, days=days,
-                       surrogates={})
+    return StudyResult(config=config, template=template, days=days)
 
 
 def regenerate_report(study_dir: str | Path, out_dir: str | Path) -> None:

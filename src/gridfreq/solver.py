@@ -1,7 +1,7 @@
 """Thin mixed-integer solver abstraction.
 
-Models are accumulated as sparse triplets plus variable bounds and solved
-with the HiGHS solver shipped with scipy.
+Models are accumulated as column bound and cost arrays plus sparse row
+triplets, and solved with the HiGHS solver shipped with scipy.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ class SolveResult:
 
 @dataclass
 class SolverModel:
-    """Linear MIP in triplet form with range rows."""
+    """Linear MIP: column arrays plus range rows in triplet form."""
 
-    lb: list[float] = field(default_factory=list)
-    ub: list[float] = field(default_factory=list)
+    lb: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    ub: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    c: np.ndarray = field(default_factory=lambda: np.zeros(0))
     is_int: list[bool] = field(default_factory=list)
-    obj: dict[int, float] = field(default_factory=dict)
     row_entries: list[list[tuple[int, float]]] = field(default_factory=list)
     row_lo: list[float] = field(default_factory=list)
     row_hi: list[float] = field(default_factory=list)
-    row_tags: list[str] = field(default_factory=list)
     # CSR of row_entries, built on demand and dropped when a column or row
     # is added, so repeated solves and residual checks share one assembly
     _csr: sp.csr_matrix | None = field(default=None, init=False, repr=False,
@@ -54,46 +53,36 @@ class SolverModel:
     def n_rows(self) -> int:
         return len(self.row_entries)
 
-    def add_var(self, lb: float = 0.0, ub: float = INF,
-                binary: bool = False) -> int:
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.is_int.append(binary)
-        self._csr = None
-        return len(self.lb) - 1
-
     def add_vars(self, n: int, lb: float = 0.0, ub: float = INF,
                  binary: bool = False) -> np.ndarray:
+        """Append n columns with zero cost; returns their indices."""
         start = self.n_vars
-        self.lb.extend([lb] * n)
-        self.ub.extend([ub] * n)
+        self.lb = np.concatenate([self.lb, np.full(n, float(lb))])
+        self.ub = np.concatenate([self.ub, np.full(n, float(ub))])
+        self.c = np.concatenate([self.c, np.zeros(n)])
         self.is_int.extend([binary] * n)
         self._csr = None
         return np.arange(start, start + n)
 
-    def add_row(self, entries: list[tuple[int, float]], lo: float, hi: float,
-                tag: str = "") -> int:
+    def add_row(self, entries: list[tuple[int, float]], lo: float,
+                hi: float) -> int:
         for idx, _ in entries:
             if not 0 <= idx < self.n_vars:
                 raise IndexError(f"row references unknown variable {idx}")
         self.row_entries.append(entries)
         self.row_lo.append(lo)
         self.row_hi.append(hi)
-        self.row_tags.append(tag)
         self._csr = None
         return len(self.row_entries) - 1
 
-    def add_le(self, entries, rhs, tag: str = "") -> int:
-        return self.add_row(entries, -INF, rhs, tag)
+    def add_le(self, entries, rhs) -> int:
+        return self.add_row(entries, -INF, rhs)
 
-    def add_ge(self, entries, rhs, tag: str = "") -> int:
-        return self.add_row(entries, rhs, INF, tag)
+    def add_ge(self, entries, rhs) -> int:
+        return self.add_row(entries, rhs, INF)
 
-    def add_eq(self, entries, rhs, tag: str = "") -> int:
-        return self.add_row(entries, rhs, rhs, tag)
-
-    def set_objective(self, coeffs: dict[int, float]) -> None:
-        self.obj = dict(coeffs)
+    def add_eq(self, entries, rhs) -> int:
+        return self.add_row(entries, rhs, rhs)
 
     def matrix(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -106,12 +95,6 @@ class SolverModel:
             self._csr = sp.csr_matrix((vals, (rows, cols)),
                                       shape=(self.n_rows, self.n_vars))
         return self._csr
-
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_vars)
-        for idx, coef in self.obj.items():
-            c[idx] = coef
-        return c
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row constraint violation of a candidate point (>= 0)."""
@@ -128,16 +111,14 @@ class HighsBackend:
 
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
               time_limit: float = 600.0) -> SolveResult:
-        c = model.objective_vector()
         integrality = np.array(model.is_int, dtype=int)
-        bounds = Bounds(np.array(model.lb), np.array(model.ub))
         constraints = []
         if model.n_rows:
             constraints.append(LinearConstraint(
                 model.matrix(), np.array(model.row_lo),
                 np.array(model.row_hi)))
-        res = milp(c, constraints=constraints, integrality=integrality,
-                   bounds=bounds,
+        res = milp(model.c, constraints=constraints, integrality=integrality,
+                   bounds=Bounds(model.lb, model.ub),
                    options={"mip_rel_gap": mip_gap,
                             "time_limit": time_limit,
                             "disp": False})

@@ -105,7 +105,6 @@ class StudyResult:
     config: StudyConfig
     template: StudyTemplate
     days: list[DayResult]
-    surrogates: dict
 
     def solution_u(self) -> np.ndarray:
         """Commitment matrix (I, n_days*24) across the whole study."""
@@ -153,16 +152,11 @@ def day_instance(template: StudyTemplate, day: int, freq_mode: str,
     day_net, day_wind = _slice_day(template, day)
     tree = build_tree(day_wind, template.contingency, template.units,
                       template.s_base, 24)
-    kwargs: dict = {}
-    if freq_mode == "bounds":
-        kwargs["nadir_bounds"] = surrogates
-    elif freq_mode == "pwl":
-        kwargs["pwl_fits"] = surrogates
     return UcInstance(network=day_net, units=template.units,
                       fleet=template.fleet, tree=tree,
                       limits=template.limits, horizon=24,
                       t_turbine=template.t_turbine, freq_mode=freq_mode,
-                      initial=initial, **kwargs)
+                      surrogates=surrogates, initial=initial)
 
 
 def _carry_state(units, sol: UcSolution,
@@ -266,8 +260,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,
                               solution=sol))
         state = _carry_state(template.units, sol, run_on, run_off)
-    result = StudyResult(config=config, template=template, days=days,
-                         surrogates=surrogates or {})
+    result = StudyResult(config=config, template=template, days=days)
     if config.out_dir is not None:
         persist_solutions(result, config.out_dir)
     return result

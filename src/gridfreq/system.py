@@ -122,12 +122,6 @@ class PowerSystem:
     def s_base(self) -> float:
         return s_base(self.units, self.fleet)
 
-    def unit(self, unit_id: str) -> SynchronousUnit:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise SystemDataError(f"unknown unit id {unit_id!r}")
-
     def validate(self) -> None:
         seen = set()
         for u in self.units:

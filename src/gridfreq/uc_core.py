@@ -75,6 +75,9 @@ class Network:
             if ln.capacity <= 0:
                 raise UcModelError(
                     f"line {ln.node_from}-{ln.node_to} capacity must be > 0")
+        for node in self.nodes:
+            if node not in self.demand:
+                raise UcModelError(f"no demand series for node {node!r}")
         for node, series in self.demand.items():
             if node not in nodeset:
                 raise UcModelError(f"demand at unknown node {node!r}")
@@ -127,8 +130,8 @@ class UcInstance:
     horizon: int
     t_turbine: float = 7.0
     freq_mode: str = "off"
-    nadir_bounds: dict[str, NadirBounds] | None = None   # per outage unit
-    pwl_fits: dict[str, PwlFit] | None = None            # per outage unit
+    # per outage unit: NadirBounds in bounds mode, PwlFit in pwl mode
+    surrogates: dict[str, NadirBounds | PwlFit] | None = None
     initial: InitialState = field(default_factory=InitialState)
 
     @property
@@ -159,9 +162,7 @@ class UcInstance:
         if self.freq_mode in ("bounds", "pwl"):
             needed = {s.outage_unit for s in self.tree.scenarios
                       if s.outage_unit is not None}
-            table = (self.nadir_bounds if self.freq_mode == "bounds"
-                     else self.pwl_fits)
-            have = set(table or {})
+            have = set(self.surrogates or {})
             if not needed <= have:
                 raise UcModelError(
                     f"freq_mode={self.freq_mode} missing nadir surrogates "
@@ -181,7 +182,6 @@ class VarMap:
     r_dn: np.ndarray       # (I, S, T)
     spill: np.ndarray      # (J, S, T)
     shed: np.ndarray       # (N, S, T)
-    t3: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -251,33 +251,28 @@ def build_model(instance: UcInstance) -> BuiltModel:
     shed = m.add_vars(N * S * T, 0, INF).reshape(N, S, T)
     vm = VarMap(u, y, z, p, w, delta_da, delta_rt, r_up, r_dn, spill, shed)
 
+    def per_unit(attr):
+        return np.array([getattr(unit, attr) for unit in units])
+
     # simple variable bounds standing in for pure box constraints
-    for j in range(J):
-        cap = net.farms[j].capacity
-        for t in range(T):
-            m.ub[w[j, t]] = cap
-    for i in range(I):
-        up, dn = units[i].res_up_cap, units[i].res_down_cap
-        for s in range(S):
-            for t in range(T):
-                m.ub[r_up[i, s, t]] = up * alpha[s, i, t]
-                m.ub[r_dn[i, s, t]] = dn * alpha[s, i, t]
-    for j in range(J):
-        for s in range(S):
-            for t in range(T):
-                m.ub[spill[j, s, t]] = wind[j, s, t]
-    for n in range(N):
-        for s in range(S):
-            for t in range(T):
-                m.ub[shed[n, s, t]] = demand[n, t]
+    m.ub[w] = np.array([farm.capacity for farm in net.farms])[:, None]
+    alpha_ist = alpha.transpose(1, 0, 2)
+    m.ub[r_up] = per_unit("res_up_cap")[:, None, None] * alpha_ist
+    m.ub[r_dn] = per_unit("res_down_cap")[:, None, None] * alpha_ist
+    m.ub[spill] = wind
+    m.ub[shed] = demand[:, None, :]
 
     # reference angle per connected component, both stages
-    for comp in net.components():
-        ref = node_idx[comp[0]]
-        for t in range(T):
-            m.lb[delta_da[ref, t]] = m.ub[delta_da[ref, t]] = 0.0
-            for s in range(S):
-                m.lb[delta_rt[ref, s, t]] = m.ub[delta_rt[ref, s, t]] = 0.0
+    refs = [node_idx[comp[0]] for comp in net.components()]
+    m.lb[delta_da[refs]] = m.ub[delta_da[refs]] = 0.0
+    m.lb[delta_rt[refs]] = m.ub[delta_rt[refs]] = 0.0
+
+    # residual commitment obligations carried over from the previous day
+    init = instance.initial
+    up_left = np.array([init.min_up_left.get(unit.id, 0) for unit in units])
+    dn_left = np.array([init.min_down_left.get(unit.id, 0) for unit in units])
+    m.lb[u[np.arange(T) < up_left[:, None]]] = 1.0
+    m.ub[u[np.arange(T) < dn_left[:, None]]] = 0.0
 
     units_at = {n: [] for n in range(N)}
     for i, unit in enumerate(units):
@@ -305,52 +300,43 @@ def build_model(instance: UcInstance) -> BuiltModel:
                 a, b = node_idx[ln.node_from], node_idx[ln.node_to]
                 entries.append((delta_da[a, t], -sign * ln.susceptance))
                 entries.append((delta_da[b, t], sign * ln.susceptance))
-            m.add_eq(entries, demand[n, t], tag=f"bal_da[{n},{t}]")
-    for e, ln in enumerate(net.lines):
+            m.add_eq(entries, demand[n, t])
+    for ln in net.lines:
         a, b = node_idx[ln.node_from], node_idx[ln.node_to]
         for t in range(T):
             m.add_row([(delta_da[a, t], ln.susceptance),
                        (delta_da[b, t], -ln.susceptance)],
-                      -ln.capacity, ln.capacity, tag=f"flow_da[{e},{t}]")
+                      -ln.capacity, ln.capacity)
 
     # commitment logic: startup/shutdown and strengthened min up/down
     for i, unit in enumerate(units):
-        # residual obligations carried over from the previous day
-        for t in range(min(instance.initial.min_up_left.get(unit.id, 0), T)):
-            m.lb[u[i, t]] = 1.0
-        for t in range(min(instance.initial.min_down_left.get(unit.id, 0), T)):
-            m.ub[u[i, t]] = 0.0
         for t in range(T):
             if t == 0:
-                m.add_ge([(y[i, t], 1.0), (u[i, t], -1.0)], -u0[unit.id],
-                         tag=f"su[{i},{t}]")
-                m.add_ge([(z[i, t], 1.0), (u[i, t], 1.0)], u0[unit.id],
-                         tag=f"sd[{i},{t}]")
+                m.add_ge([(y[i, t], 1.0), (u[i, t], -1.0)], -u0[unit.id])
+                m.add_ge([(z[i, t], 1.0), (u[i, t], 1.0)], u0[unit.id])
             else:
                 m.add_ge([(y[i, t], 1.0), (u[i, t], -1.0),
-                          (u[i, t - 1], 1.0)], 0.0, tag=f"su[{i},{t}]")
+                          (u[i, t - 1], 1.0)], 0.0)
                 m.add_ge([(z[i, t], 1.0), (u[i, t], 1.0),
-                          (u[i, t - 1], -1.0)], 0.0, tag=f"sd[{i},{t}]")
+                          (u[i, t - 1], -1.0)], 0.0)
             for tau in range(t, min(t + unit.min_up - 1, T - 1) + 1):
                 if tau == t:
                     continue
                 if t == 0:
                     m.add_ge([(u[i, tau], 1.0), (u[i, t], -1.0)],
-                             -u0[unit.id], tag=f"minup[{i},{t},{tau}]")
+                             -u0[unit.id])
                 else:
                     m.add_ge([(u[i, tau], 1.0), (u[i, t], -1.0),
-                              (u[i, t - 1], 1.0)], 0.0,
-                             tag=f"minup[{i},{t},{tau}]")
+                              (u[i, t - 1], 1.0)], 0.0)
             for tau in range(t, min(t + unit.min_down - 1, T - 1) + 1):
                 if tau == t:
                     continue
                 if t == 0:
                     m.add_le([(u[i, tau], 1.0), (u[i, t], -1.0)],
-                             1.0 - u0[unit.id], tag=f"mindn[{i},{t},{tau}]")
+                             1.0 - u0[unit.id])
                 else:
                     m.add_le([(u[i, tau], 1.0), (u[i, t], -1.0),
-                              (u[i, t - 1], 1.0)], 1.0,
-                             tag=f"mindn[{i},{t},{tau}]")
+                              (u[i, t - 1], 1.0)], 1.0)
 
     # real-time balance, capacity, ramping and flow limits
     for s in range(S):
@@ -375,55 +361,42 @@ def build_model(instance: UcInstance) -> BuiltModel:
                     entries.append((w[j, t], -1.0))
                     entries.append((spill[j, s, t], -1.0))
                 entries.append((shed[n, s, t], 1.0))
-                m.add_eq(entries, rhs, tag=f"bal_rt[{n},{s},{t}]")
+                m.add_eq(entries, rhs)
         for i, unit in enumerate(units):
             for t in range(T):
                 m.add_le([(p[i, t], 1.0), (r_up[i, s, t], 1.0),
-                          (u[i, t], -unit.p_max)], 0.0,
-                         tag=f"pmax[{i},{s},{t}]")
+                          (u[i, t], -unit.p_max)], 0.0)
                 m.add_ge([(p[i, t], 1.0), (r_dn[i, s, t], -1.0),
-                          (u[i, t], -unit.p_min)], 0.0,
-                         tag=f"pmin[{i},{s},{t}]")
+                          (u[i, t], -unit.p_min)], 0.0)
                 if t == 0:
                     m.add_le([(p[i, t], 1.0), (r_up[i, s, t], 1.0)],
-                             unit.ramp_up + p0[unit.id],
-                             tag=f"rampup[{i},{s},{t}]")
+                             unit.ramp_up + p0[unit.id])
                     m.add_ge([(p[i, t], 1.0), (r_dn[i, s, t], -1.0)],
-                             p0[unit.id] - unit.ramp_down,
-                             tag=f"rampdn[{i},{s},{t}]")
+                             p0[unit.id] - unit.ramp_down)
                 else:
                     m.add_le([(p[i, t], 1.0), (p[i, t - 1], -1.0),
                               (r_up[i, s, t], 1.0), (r_up[i, s, t - 1], -1.0)],
-                             unit.ramp_up, tag=f"rampup[{i},{s},{t}]")
+                             unit.ramp_up)
                     m.add_ge([(p[i, t], 1.0), (p[i, t - 1], -1.0),
                               (r_dn[i, s, t], -1.0), (r_dn[i, s, t - 1], 1.0)],
-                             -unit.ramp_down, tag=f"rampdn[{i},{s},{t}]")
-        for e, ln in enumerate(net.lines):
+                             -unit.ramp_down)
+        for ln in net.lines:
             a, b = node_idx[ln.node_from], node_idx[ln.node_to]
             for t in range(T):
                 m.add_row([(delta_rt[a, s, t], ln.susceptance),
                            (delta_rt[b, s, t], -ln.susceptance)],
-                          -ln.capacity, ln.capacity,
-                          tag=f"flow_rt[{e},{s},{t}]")
+                          -ln.capacity, ln.capacity)
 
     if instance.freq_mode != "off":
         _add_frequency_rows(m, vm, instance)
 
-    obj: dict[int, float] = {}
-    for i, unit in enumerate(units):
-        for t in range(T):
-            obj[y[i, t]] = unit.cost_startup
-            obj[z[i, t]] = unit.cost_shutdown
-            obj[p[i, t]] = unit.cost_energy
-            for s in range(S):
-                obj[r_up[i, s, t]] = pi[s] * unit.cost_res_up
-                obj[r_dn[i, s, t]] = -pi[s] * unit.cost_res_down
-    voll = net.value_of_lost_load
-    for n in range(N):
-        for s in range(S):
-            for t in range(T):
-                obj[shed[n, s, t]] = pi[s] * voll
-    m.set_objective(obj)
+    m.c[y] = per_unit("cost_startup")[:, None]
+    m.c[z] = per_unit("cost_shutdown")[:, None]
+    m.c[p] = per_unit("cost_energy")[:, None]
+    pi_s = pi[None, :, None]
+    m.c[r_up] = pi_s * per_unit("cost_res_up")[:, None, None]
+    m.c[r_dn] = -pi_s * per_unit("cost_res_down")[:, None, None]
+    m.c[shed] = pi_s * net.value_of_lost_load
     return BuiltModel(model=m, vars=vm, instance=instance)
 
 
@@ -458,30 +431,24 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
             f_entries = [(vm.u[i, t], f_w[i]) for i in range(len(units))
                          if a[i]]
             # RoCoF: (rocof_lim/f_b) * (M + M_v) >= dP
-            m.add_ge(m_entries, dp * f_b / limits.rocof_lim - m_v,
-                     tag=f"rocof[{s},{t}]")
+            m.add_ge(m_entries, dp * f_b / limits.rocof_lim - m_v)
             # quasi steady state: (ss_lim/f_b) * (D + R) >= dP
-            m.add_ge(r_entries, dp * f_b / limits.ss_lim - d_const,
-                     tag=f"qss[{s},{t}]")
+            m.add_ge(r_entries, dp * f_b / limits.ss_lim - d_const)
             if instance.freq_mode == "bounds":
-                bounds = instance.nadir_bounds[outage_of[s]]
-                m.add_ge(f_entries, bounds.f_lim, tag=f"nadir_f[{s},{t}]")
-                m.add_ge(r_entries, bounds.r_lim, tag=f"nadir_r[{s},{t}]")
-                m.add_ge(m_entries, bounds.m_lim - m_v,
-                         tag=f"nadir_m[{s},{t}]")
+                bounds = instance.surrogates[outage_of[s]]
+                m.add_ge(f_entries, bounds.f_lim)
+                m.add_ge(r_entries, bounds.r_lim)
+                m.add_ge(m_entries, bounds.m_lim - m_v)
             else:
-                fit = instance.pwl_fits[outage_of[s]]
-                t3 = m.add_var(-INF, INF)
-                vm.t3[(s, t)] = t3
-                for v, seg in enumerate(fit.segments):
+                fit = instance.surrogates[outage_of[s]]
+                t3, = m.add_vars(1, -INF, INF)
+                for seg in fit.segments:
                     entries = [(t3, -1.0)]
                     entries += [(idx, seg.a * coef) for idx, coef in r_entries]
                     entries += [(idx, seg.b * coef) for idx, coef in f_entries]
                     entries += [(idx, seg.c * coef) for idx, coef in m_entries]
-                    m.add_le(entries, -(seg.d + seg.c * m_v),
-                             tag=f"nadir_pwl[{s},{t},{v}]")
-                m.add_le([(t3, 1.0)], limits.nadir_lim,
-                         tag=f"nadir_cap[{s},{t}]")
+                    m.add_le(entries, -(seg.d + seg.c * m_v))
+                m.add_le([(t3, 1.0)], limits.nadir_lim)
 
 
 def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
@@ -571,8 +538,8 @@ def _commitment_patterns(built: BuiltModel):
     # u's bounds screen as identity rows below the fixed rows
     g = np.vstack([a[rows][:, cols].toarray(), np.eye(I * T, len(cols))])
     u_cols = vm.u.ravel()
-    lo = np.concatenate([np.array(m.row_lo)[rows], np.array(m.lb)[u_cols]])
-    hi = np.concatenate([np.array(m.row_hi)[rows], np.array(m.ub)[u_cols]])
+    lo = np.concatenate([np.array(m.row_lo)[rows], m.lb[u_cols]])
+    hi = np.concatenate([np.array(m.row_hi)[rows], m.ub[u_cols]])
     u0 = np.array([[int(inst.initial.commitment.get(unit.id, 0))]
                    for unit in inst.units])
     for pattern in itertools.product((0, 1), repeat=I * T):
@@ -604,16 +571,13 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     m = built.model
     backend = backend or get_backend()
 
-    base_lb = list(m.lb)
-    base_ub = list(m.ub)
+    # every pattern fixes the same columns, so each overwrites the last
+    base_lb, base_ub = m.lb.copy(), m.ub.copy()
     best: UcSolution | None = None
     for cols, vals, passes in _commitment_patterns(built):
         if not passes:
             continue
-        m.lb = list(base_lb)
-        m.ub = list(base_ub)
-        for c, v in zip(cols, vals.tolist()):
-            m.lb[c] = m.ub[c] = v
+        m.lb[cols] = m.ub[cols] = vals
         res = backend.solve(m, mip_gap=1e-9, time_limit=60.0)
         if res.status != "optimal":
             continue

@@ -194,8 +194,8 @@ def test_criterion_6_milp_matches_brute_force():
     cm3 = ContingencyModel(credible_outages=["g3"], contingency_hour=1,
                            lam=1e-3)
     tree3 = build_tree(wind3, cm3, units3, s_base, 3)
-    for mode, kw in (("bounds", {"nadir_bounds": bounds}),
-                     ("pwl", {"pwl_fits": fits})):
+    for mode, kw in (("bounds", {"surrogates": bounds}),
+                     ("pwl", {"surrogates": fits})):
         instances.append(UcInstance(
             network=net3, units=units3, fleet=fleet, tree=tree3,
             limits=limits, horizon=3, freq_mode=mode,

@@ -73,8 +73,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", "--system", str(bad)]) == 1
+        inst = json.loads((case_dir / "instance.json").read_text())
+        del inst["network"]["demand"]["n2"]
+        no_demand = case_dir / "no_demand.json"
+        no_demand.write_text(json.dumps(inst))
+        assert main(["solve", "--config", str(no_demand),
+                     "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 2
+        assert err.count("error:") == 3
+        assert "error: no demand series for node 'n2'" in err
 
 
 class TestValidate:

@@ -9,8 +9,7 @@ from gridfreq.nadir_linearization import (LinearizationError, NadirBounds,
                                           admitted,
                                           enumerate_commitments,
                                           extract_bounds, fit_max_affine,
-                                          fit_pwl, make_nadir_fn,
-                                          nadir_grid, pwl_constraint_rows)
+                                          fit_pwl, make_nadir_fn, nadir_grid)
 from gridfreq.system import ConverterFleet, FrequencyLimits
 
 from conftest import make_unit, synthetic_fleet
@@ -189,21 +188,6 @@ class TestPwlFit:
                           n_per_dim=3)
         assert grid.shape == (27, 3)
         assert grid[:, 0].min() == 1.0 and grid[:, 0].max() == 2.0
-
-    def test_constraint_rows_shape(self, fleet_conv, limits):
-        units = small_fleet()
-        cloud = enumerate_commitments(units, "out", fleet_conv, limits, 7.0)
-        fn = make_nadir_fn(float(cloud.d[0]), 7.0, cloud.delta_p, limits,
-                           m_v=cloud.m_v)
-        fit = fit_pwl(fn, nadir_grid(cloud, 5), 3, restarts=10)
-        rows = pwl_constraint_rows(fit, limits)
-        assert len(rows) == 4
-        for row, seg in zip(rows, fit.segments):
-            assert row["coeffs"]["r_g"] == seg.a
-            assert row["coeffs"]["t3"] == -1.0
-            assert row["rhs"] == -seg.d
-        assert rows[-1]["coeffs"] == {"t3": 1.0}
-        assert rows[-1]["rhs"] == limits.nadir_lim
 
     def test_to_json(self, tmp_path, fleet_conv, limits):
         units = small_fleet()

@@ -11,7 +11,7 @@ def test_matrix_follows_added_columns_and_rows():
     assert first is m.matrix()
     assert first.shape == (1, 2)
 
-    c = m.add_var()
+    c, = m.add_vars(1)
     assert m.matrix().shape == (1, 3)
     m.add_ge([(b, -1.0), (c, 3.0)], 1.0)
     assert np.array_equal(m.matrix().toarray(),

@@ -132,7 +132,7 @@ class TestRolling:
         template, off, on = dual
         from gridfreq.study import StudyResult
         bad = StudyResult(config=on.config, template=template,
-                          days=[on.days[1]], surrogates={})
+                          days=[on.days[1]])
         with pytest.raises(StudyError, match="unconstrained"):
             run_study(template, config(), prefix=bad)
 

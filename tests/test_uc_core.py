@@ -1,14 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
 from gridfreq.nadir_linearization import (enumerate_commitments,
                                           extract_bounds, fit_pwl,
                                           make_nadir_fn, nadir_grid)
 from gridfreq.scenarios import ContingencyModel, WindScenario, build_tree
 from gridfreq.solver import HighsBackend
+from gridfreq.study import day_instance, prepare_surrogates
 from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               UcModelError, WindFarm, _commitment_patterns,
@@ -216,9 +219,9 @@ def test_freq_mode_monotone_cost():
     fits = {"g3": fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=50)}
 
     sol_off = solve(build_model(mk("off")), mip_gap=1e-9)
-    sol_b = solve(build_model(mk("bounds", nadir_bounds=bounds)),
+    sol_b = solve(build_model(mk("bounds", surrogates=bounds)),
                   mip_gap=1e-9)
-    sol_p = solve(build_model(mk("pwl", pwl_fits=fits)), mip_gap=1e-9)
+    sol_p = solve(build_model(mk("pwl", surrogates=fits)), mip_gap=1e-9)
     assert sol_off.objective <= sol_b.objective + 1e-6
     assert sol_off.objective <= sol_p.objective + 1e-6
 
@@ -232,7 +235,7 @@ def test_freq_mode_monotone_cost():
     assert sol_b.m_sys[s_c, t_c] + inst_m_v(units, fleet) >= b.m_lim - 1e-7
 
     # brute force agrees in constrained mode too
-    ref = brute_force_uc(mk("bounds", nadir_bounds=bounds))
+    ref = brute_force_uc(mk("bounds", surrogates=bounds))
     assert sol_b.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
@@ -280,6 +283,10 @@ def test_validation_errors():
     net.lines[0].node_to = "zz"
     with pytest.raises(UcModelError, match="unknown node"):
         net.validate(4)
+    inst4 = small_instance()
+    del inst4.network.demand["n2"]
+    with pytest.raises(UcModelError, match="no demand series for node 'n2'"):
+        build_model(inst4)
 
 
 def small_bounds_instance():
@@ -292,7 +299,7 @@ def small_bounds_instance():
     cloud = enumerate_commitments(units, "g3", fleet, limits, 7.0)
     return small_instance(horizon=3, freq_mode="bounds", units=units,
                           fleet=fleet, outage="g3",
-                          nadir_bounds={"g3": extract_bounds(cloud, limits)})
+                          surrogates={"g3": extract_bounds(cloud, limits)})
 
 
 @pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
@@ -322,6 +329,41 @@ def test_brute_force_screen_is_sound(make):
     backend = Counting()
     brute_force_uc(inst, backend=backend)
     assert backend.calls == passed
+
+
+def study_day_bounds_instance():
+    template = study_template(1)
+    surrogates = prepare_surrogates(
+        template.units, template.fleet, template.limits, template.t_turbine,
+        template.contingency.credible_outages, "bounds")
+    return day_instance(template, 1, "bounds", template.initial, surrogates)
+
+
+def highs_input_digest(m):
+    """sha256 of the arrays HighsBackend.solve hands to HiGHS."""
+    a = m.matrix().copy()
+    a.sum_duplicates()
+    a.sort_indices()
+    h = hashlib.sha256(str(a.shape).encode())
+    for arr in (m.c, np.array(m.is_int, dtype=np.int64), m.lb, m.ub, a.data,
+                a.indices.astype(np.int64), a.indptr.astype(np.int64),
+                np.array(m.row_lo), np.array(m.row_hi)):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Any change to what HiGHS receives shows here.  pwl mode is left out: its
+# fit goes through LAPACK lstsq, whose last bits depend on the BLAS build.
+@pytest.mark.parametrize("make, digest", [
+    (small_instance,
+     "4341d80a479ee5e67e67e9667949cccb7abab4f2dc85a40c17108f355d027c51"),
+    (small_bounds_instance,
+     "e17687de938442fba4784969d2947d7c836fb6def6ae87e82bd7b9b0a84b1b12"),
+    (study_day_bounds_instance,
+     "317815f43bbbf03092c639d02156d4a2c76ea334bfb92c09fc0a8acb13871224"),
+], ids=["small_off", "small_bounds", "study_day_bounds"])
+def test_model_fingerprint_frozen(make, digest):
+    assert highs_input_digest(build_model(make()).model) == digest
 
 
 def test_brute_force_guard():
