@@ -1,7 +1,9 @@
 """Thin mixed-integer solver abstraction.
 
 Models are accumulated as column bound and cost arrays plus sparse row
-triplets, and solved with the HiGHS solver shipped with scipy.
+triplets, and solved with the HiGHS solver shipped with scipy: directly
+through its bundled binding where that private module is present, and
+through ``scipy.optimize.milp`` otherwise.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 INF = float("inf")
 
@@ -29,6 +36,17 @@ class SolveResult:
         return self.x is not None
 
 
+@dataclass(frozen=True)
+class Assembly:
+    """The parts of the solver input that depend only on rows and is_int."""
+
+    csr: sp.csr_matrix
+    csc: sp.csc_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    integrality: np.ndarray
+
+
 @dataclass
 class SolverModel:
     """Linear MIP: column arrays plus range rows in triplet form."""
@@ -36,14 +54,17 @@ class SolverModel:
     lb: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ub: np.ndarray = field(default_factory=lambda: np.zeros(0))
     c: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # copied into the assembly below when that is built, so set it before
+    # the first solve or matrix() call
     is_int: list[bool] = field(default_factory=list)
     row_entries: list[list[tuple[int, float]]] = field(default_factory=list)
     row_lo: list[float] = field(default_factory=list)
     row_hi: list[float] = field(default_factory=list)
-    # CSR of row_entries, built on demand and dropped when a column or row
-    # is added, so repeated solves and residual checks share one assembly
-    _csr: sp.csr_matrix | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # matrix, row bound and integrality arrays, built on demand and dropped
+    # when a column or row is added, so repeated solves and residual checks
+    # share one assembly
+    _assembly: Assembly | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -61,7 +82,7 @@ class SolverModel:
         self.ub = np.concatenate([self.ub, np.full(n, float(ub))])
         self.c = np.concatenate([self.c, np.zeros(n)])
         self.is_int.extend([binary] * n)
-        self._csr = None
+        self._assembly = None
         return np.arange(start, start + n)
 
     def add_row(self, entries: list[tuple[int, float]], lo: float,
@@ -72,7 +93,7 @@ class SolverModel:
         self.row_entries.append(entries)
         self.row_lo.append(lo)
         self.row_hi.append(hi)
-        self._csr = None
+        self._assembly = None
         return len(self.row_entries) - 1
 
     def add_le(self, entries, rhs) -> int:
@@ -84,24 +105,30 @@ class SolverModel:
     def add_eq(self, entries, rhs) -> int:
         return self.add_row(entries, rhs, rhs)
 
-    def matrix(self) -> sp.csr_matrix:
-        if self._csr is None:
+    def assembly(self) -> Assembly:
+        if self._assembly is None:
             rows, cols, vals = [], [], []
             for r, entries in enumerate(self.row_entries):
                 for idx, coef in entries:
                     rows.append(r)
                     cols.append(idx)
                     vals.append(coef)
-            self._csr = sp.csr_matrix((vals, (rows, cols)),
-                                      shape=(self.n_rows, self.n_vars))
-        return self._csr
+            csr = sp.csr_matrix((vals, (rows, cols)),
+                                shape=(self.n_rows, self.n_vars))
+            self._assembly = Assembly(
+                csr, csr.tocsc(), np.array(self.row_lo, dtype=float),
+                np.array(self.row_hi, dtype=float),
+                np.array(self.is_int, dtype=np.int32))
+        return self._assembly
+
+    def matrix(self) -> sp.csr_matrix:
+        return self.assembly().csr
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row constraint violation of a candidate point (>= 0)."""
-        ax = self.matrix() @ x
-        lo = np.array(self.row_lo)
-        hi = np.array(self.row_hi)
-        return np.maximum(np.maximum(lo - ax, ax - hi), 0.0)
+        asm = self.assembly()
+        ax = asm.csr @ x
+        return np.maximum(np.maximum(asm.row_lo - ax, ax - asm.row_hi), 0.0)
 
 
 class HighsBackend:
@@ -111,29 +138,69 @@ class HighsBackend:
 
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
               time_limit: float = 600.0) -> SolveResult:
-        integrality = np.array(model.is_int, dtype=int)
-        constraints = []
-        if model.n_rows:
-            constraints.append(LinearConstraint(
-                model.matrix(), np.array(model.row_lo),
-                np.array(model.row_hi)))
-        res = milp(model.c, constraints=constraints, integrality=integrality,
-                   bounds=Bounds(model.lb, model.ub),
-                   options={"mip_rel_gap": mip_gap,
-                            "time_limit": time_limit,
-                            "disp": False})
-        gap = getattr(res, "mip_gap", None)
-        if res.status == 0:
-            return SolveResult("optimal", res.x, float(res.fun), gap)
-        if res.status == 2:
-            return SolveResult("infeasible", None, None, None)
-        if res.status == 1 and res.x is not None:
-            return SolveResult("timeout", res.x, float(res.fun), gap)
-        if res.status == 1:
-            return SolveResult("timeout", None, None, None)
+        if _highs is None:
+            return _solve_milp(model, mip_gap, time_limit)
+        return _solve_direct(model, mip_gap, time_limit)
+
+
+def _solve_direct(model: SolverModel, mip_gap: float,
+                  time_limit: float) -> SolveResult:
+    """One cold HiGHS run on the arrays and options ``milp`` would pass."""
+    asm = model.assembly()
+    a = asm.csc
+    h = _highs._Highs()
+    h.setOptionValue("log_to_console", False)
+    h.setOptionValue("mip_rel_gap", float(mip_gap))
+    h.setOptionValue("time_limit", float(time_limit))
+    loaded = h.passModel(
+        model.n_vars, model.n_rows, a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, model.c, model.lb, model.ub,
+        asm.row_lo, asm.row_hi, a.indptr, a.indices, a.data, asm.integrality)
+    if loaded == _highs.HighsStatus.kError:
         return SolveResult("infeasible", None, None, None)
+    ran = h.run() != _highs.HighsStatus.kError
+    status = h.getModelStatus()
+    info = h.getInfo()
+    is_mip = bool(asm.integrality.any())
+    gap = info.mip_gap if is_mip else None
+    statuses = _highs.HighsModelStatus
+    if ran and status == statuses.kOptimal:
+        return SolveResult("optimal", np.array(h.getSolution().col_value),
+                           info.objective_function_value, gap)
+    if status in (statuses.kTimeLimit, statuses.kIterationLimit):
+        # as in milp: an LP that stops early, or a MIP without an
+        # incumbent, leaves no point
+        if (ran and is_mip
+                and info.objective_function_value != _highs.kHighsInf):
+            return SolveResult("timeout",
+                               np.array(h.getSolution().col_value),
+                               info.objective_function_value, gap)
+        return SolveResult("timeout", None, None, None)
+    return SolveResult("infeasible", None, None, None)
+
+
+def _solve_milp(model: SolverModel, mip_gap: float,
+                time_limit: float) -> SolveResult:
+    """The same solve through ``scipy.optimize.milp``."""
+    asm = model.assembly()
+    constraints = []
+    if model.n_rows:
+        constraints.append(LinearConstraint(asm.csr, asm.row_lo,
+                                            asm.row_hi))
+    res = milp(model.c, constraints=constraints,
+               integrality=asm.integrality, bounds=Bounds(model.lb, model.ub),
+               options={"mip_rel_gap": mip_gap, "time_limit": time_limit,
+                        "disp": False})
+    gap = getattr(res, "mip_gap", None)
+    if res.status == 0:
+        return SolveResult("optimal", res.x, float(res.fun), gap)
+    if res.status == 1 and res.x is not None:
+        return SolveResult("timeout", res.x, float(res.fun), gap)
+    if res.status == 1:
+        return SolveResult("timeout", None, None, None)
+    return SolveResult("infeasible", None, None, None)
 
 
 def get_backend() -> HighsBackend:
-    """The solver backend: HiGHS through ``scipy.optimize.milp``."""
+    """The solver backend: HiGHS, direct or through ``milp``."""
     return HighsBackend()

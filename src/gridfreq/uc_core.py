@@ -15,7 +15,6 @@ their defining identities.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -394,6 +393,10 @@ def build_model(instance: UcInstance) -> BuiltModel:
     m.c[z] = per_unit("cost_shutdown")[:, None]
     m.c[p] = per_unit("cost_energy")[:, None]
     pi_s = pi[None, :, None]
+    # outage branches weight reserve costs by their small probabilities,
+    # down to 9.97e-5 on the shipped study; that is HiGHS's "excessively
+    # small costs" warning, and as the costs are real a uniform rescale
+    # would only hide it
     m.c[r_up] = pi_s * per_unit("cost_res_up")[:, None, None]
     m.c[r_dn] = -pi_s * per_unit("cost_res_down")[:, None, None]
     m.c[shed] = pi_s * net.value_of_lost_load
@@ -518,6 +521,8 @@ def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
 # HiGHS's default primal feasibility tolerance: a row over fixed columns
 # that misses its bounds by more makes the LP infeasible
 _FEAS_TOL = 1e-7
+# patterns screened per array block, which bounds the screen's memory
+_SCREEN_BLOCK = 256
 
 
 def _commitment_patterns(built: BuiltModel):
@@ -527,30 +532,37 @@ def _commitment_patterns(built: BuiltModel):
     values, and whether those values keep u within its bounds and satisfy,
     within ``_FEAS_TOL``, every row with no entry outside these columns.
     A pattern that does not pass is infeasible; one that passes needs an LP.
+    Patterns are screened as arrays, ``_SCREEN_BLOCK`` at a time.
     """
     m, vm, inst = built.model, built.vars, built.instance
     I, T = vm.u.shape
+    n = I * T
     cols = np.concatenate([vm.u.ravel(), vm.y.ravel(), vm.z.ravel()])
-    a = m.matrix()
+    asm = m.assembly()
+    a = asm.csr
     other = np.ones(m.n_vars, dtype=bool)
     other[cols] = False
     rows = np.flatnonzero(a[:, other].getnnz(axis=1) == 0)
     # u's bounds screen as identity rows below the fixed rows
-    g = np.vstack([a[rows][:, cols].toarray(), np.eye(I * T, len(cols))])
+    g = np.vstack([a[rows][:, cols].toarray(), np.eye(n, len(cols))])
     u_cols = vm.u.ravel()
-    lo = np.concatenate([np.array(m.row_lo)[rows], m.lb[u_cols]])
-    hi = np.concatenate([np.array(m.row_hi)[rows], m.ub[u_cols]])
+    lo = np.concatenate([asm.row_lo[rows], m.lb[u_cols]])
+    hi = np.concatenate([asm.row_hi[rows], m.ub[u_cols]])
     u0 = np.array([[int(inst.initial.commitment.get(unit.id, 0))]
                    for unit in inst.units])
-    for pattern in itertools.product((0, 1), repeat=I * T):
-        u = np.array(pattern).reshape(I, T)
-        du = np.diff(u, axis=1, prepend=u0)
-        vals = np.concatenate([u.ravel(), np.maximum(du, 0).ravel(),
-                               np.maximum(-du, 0).ravel()]).astype(float)
-        gx = g @ vals
-        passes = not (np.any(lo - gx > _FEAS_TOL)
-                      or np.any(gx - hi > _FEAS_TOL))
-        yield cols, vals, passes
+    # bit j of pattern k, most significant first, as itertools.product
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(0, 2 ** n, _SCREEN_BLOCK):
+        k = np.arange(start, min(start + _SCREEN_BLOCK, 2 ** n))
+        u = ((k[:, None] >> shifts) & 1).reshape(-1, I, T)
+        du = np.diff(u, axis=2, prepend=np.broadcast_to(u0, (len(k), I, 1)))
+        vals = np.concatenate([u, np.maximum(du, 0), np.maximum(-du, 0)],
+                              axis=1).reshape(len(k), -1).astype(float)
+        gx = vals @ g.T
+        passes = ~(np.any(lo - gx > _FEAS_TOL, axis=1)
+                   | np.any(gx - hi > _FEAS_TOL, axis=1))
+        for v, ok in zip(vals, passes):
+            yield cols, v, bool(ok)
 
 
 def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
@@ -562,6 +574,10 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     commitment variables alone (min up/down, startup/shutdown, and the
     RoCoF, quasi-steady-state and nadir-bound rows) are skipped without
     an LP.
+
+    u is the model's only integer family and every pattern fixes it, so
+    the builder's integrality flags are cleared and each pattern is a
+    plain LP: one fresh, cold solve through ``backend.solve``.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
@@ -569,6 +585,7 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
             f"{I * T} binary decisions exceed the brute-force limit of 16")
     built = build_model(instance)
     m = built.model
+    m.is_int = [False] * m.n_vars
     backend = backend or get_backend()
 
     # every pattern fixes the same columns, so each overwrites the last

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gridfreq import solver
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
 from gridfreq.nadir_linearization import (enumerate_commitments,
@@ -364,6 +365,69 @@ def highs_input_digest(m):
 ], ids=["small_off", "small_bounds", "study_day_bounds"])
 def test_model_fingerprint_frozen(make, digest):
     assert highs_input_digest(build_model(make()).model) == digest
+
+
+def model_of(make):
+    return build_model(make()).model
+
+
+def study_day_lp_relaxation():
+    m = model_of(study_day_bounds_instance)
+    m.is_int = [False] * m.n_vars
+    return m
+
+
+def screen_rejected_model():
+    """small_bounds with u, y and z fixed to the first pattern the screen
+    rejects."""
+    built = build_model(small_bounds_instance())
+    cols, vals = next((c, v) for c, v, ok in _commitment_patterns(built)
+                      if not ok)
+    built.model.lb[cols] = built.model.ub[cols] = vals
+    return built.model
+
+
+# (model, solve options, expected status); small_off at a 0.5 gap stops
+# at a reported gap of 10%, so it shows a dropped mip_rel_gap
+PARITY_CASES = {
+    "small_off_gap": (lambda: model_of(small_instance), {"mip_gap": 0.5},
+                      "optimal"),
+    "small_bounds": (lambda: model_of(small_bounds_instance),
+                     {"mip_gap": 1e-9}, "optimal"),
+    "study_day_bounds_lp": (study_day_lp_relaxation, {"mip_gap": 1e-2},
+                            "optimal"),
+    "screen_rejected": (screen_rejected_model, {"mip_gap": 1e-9},
+                        "infeasible"),
+    "time_limit_0": (lambda: model_of(small_instance), {"time_limit": 0.0},
+                     "timeout"),
+}
+
+
+@pytest.mark.skipif(solver._highs is None,
+                    reason="scipy without its bundled HiGHS binding")
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_direct_highs_matches_milp(case, monkeypatch):
+    """The direct HiGHS path and the milp fallback give the same result."""
+    make, options, status = PARITY_CASES[case]
+    m = make()
+
+    def no_milp(*args, **kwargs):
+        raise AssertionError("the direct path called milp")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "milp", no_milp)
+        direct = HighsBackend().solve(m, **options)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_highs", None)
+        fallback = HighsBackend().solve(m, **options)
+
+    assert direct.status == fallback.status == status
+    assert direct.has_solution == fallback.has_solution \
+        == (status == "optimal")
+    if direct.has_solution:
+        assert direct.objective.hex() == fallback.objective.hex()
+        assert direct.x.tobytes() == fallback.x.tobytes()
+    assert direct.mip_gap == fallback.mip_gap
 
 
 def test_brute_force_guard():
