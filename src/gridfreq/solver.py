@@ -20,6 +20,9 @@ except ImportError:
     _highs = None
 
 INF = float("inf")
+# HiGHS's sub-MIP (RENS, RINS) and reduced-cost heuristics at the root
+_ROOT_HEURISTICS = ("mip_heuristic_run_rens", "mip_heuristic_run_rins",
+                    "mip_heuristic_run_root_reduced_cost")
 
 
 @dataclass
@@ -30,6 +33,11 @@ class SolveResult:
     x: np.ndarray | None
     objective: float | None
     mip_gap: float | None
+    # HiGHS's counts, read on the direct path only; the two MIP figures
+    # are None for an LP
+    mip_dual_bound: float | None = None
+    mip_node_count: int | None = None
+    simplex_iterations: int | None = None
 
     @property
     def has_solution(self) -> bool:
@@ -137,15 +145,30 @@ class HighsBackend:
     name = "highs"
 
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
-              time_limit: float = 600.0) -> SolveResult:
+              time_limit: float = 600.0, start: np.ndarray | None = None,
+              lower_bound: float | None = None) -> SolveResult:
+        """Solve ``model``.
+
+        ``start`` is a full column vector HiGHS tries as its first
+        incumbent, and ``lower_bound`` a bound on the optimum known from
+        elsewhere; ``milp`` takes neither.
+        """
         if _highs is None:
             return _solve_milp(model, mip_gap, time_limit)
-        return _solve_direct(model, mip_gap, time_limit)
+        return _solve_direct(model, mip_gap, time_limit, start, lower_bound)
 
 
-def _solve_direct(model: SolverModel, mip_gap: float,
-                  time_limit: float) -> SolveResult:
-    """One cold HiGHS run on the arrays and options ``milp`` would pass."""
+def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
+                  start: np.ndarray | None,
+                  lower_bound: float | None) -> SolveResult:
+    """One HiGHS run on the arrays and options ``milp`` would pass.
+
+    HiGHS checks ``start`` and drops it when it breaks a bound, a row or
+    integrality. A start within ``mip_gap`` of ``lower_bound`` already
+    meets the gap, so the run skips the root heuristics, which look for a
+    better incumbent; on paired study days they used most of a started
+    run's simplex iterations and never improved the start.
+    """
     asm = model.assembly()
     a = asm.csc
     h = _highs._Highs()
@@ -158,15 +181,29 @@ def _solve_direct(model: SolverModel, mip_gap: float,
         asm.row_lo, asm.row_hi, a.indptr, a.indices, a.data, asm.integrality)
     if loaded == _highs.HighsStatus.kError:
         return SolveResult("infeasible", None, None, None)
+    if start is not None:
+        point = _highs.HighsSolution()
+        point.col_value = start
+        point.value_valid = True
+        h.setSolution(point)
+        value = float(model.c @ start)
+        if (lower_bound is not None
+                and value - lower_bound <= mip_gap * abs(value)):
+            for name in _ROOT_HEURISTICS:
+                h.setOptionValue(name, False)
     ran = h.run() != _highs.HighsStatus.kError
     status = h.getModelStatus()
     info = h.getInfo()
     is_mip = bool(asm.integrality.any())
+    counts = {"simplex_iterations": info.simplex_iteration_count}
+    if is_mip:
+        counts.update(mip_dual_bound=info.mip_dual_bound,
+                      mip_node_count=info.mip_node_count)
     gap = info.mip_gap if is_mip else None
     statuses = _highs.HighsModelStatus
     if ran and status == statuses.kOptimal:
         return SolveResult("optimal", np.array(h.getSolution().col_value),
-                           info.objective_function_value, gap)
+                           info.objective_function_value, gap, **counts)
     if status in (statuses.kTimeLimit, statuses.kIterationLimit):
         # as in milp: an LP that stops early, or a MIP without an
         # incumbent, leaves no point
@@ -174,9 +211,9 @@ def _solve_direct(model: SolverModel, mip_gap: float,
                 and info.objective_function_value != _highs.kHighsInf):
             return SolveResult("timeout",
                                np.array(h.getSolution().col_value),
-                               info.objective_function_value, gap)
-        return SolveResult("timeout", None, None, None)
-    return SolveResult("infeasible", None, None, None)
+                               info.objective_function_value, gap, **counts)
+        return SolveResult("timeout", None, None, None, **counts)
+    return SolveResult("infeasible", None, None, None, **counts)
 
 
 def _solve_milp(model: SolverModel, mip_gap: float,

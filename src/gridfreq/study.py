@@ -439,6 +439,7 @@ def report(result_off: StudyResult, result_on: StudyResult,
                      "scipy": scipy.__version__},
         "days": [{"day": d.day, "freq_mode": d.freq_mode,
                   "status": d.solution.status,
+                  "mip_gap": d.solution.mip_gap,
                   "objective": d.solution.objective}
                  for run in (result_off, result_on) for d in run.days],
         "trace_outage": uid,

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .freq_dynamics import frequency_weights
 from .nadir_linearization import NadirBounds, PwlFit
-from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
+from . import solver
+from .scenarios import (ContingencyModel, Scenario, ScenarioTree, build_tree,
+                        ingest_wind)
 from .solver import INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
                      SynchronousUnit, load_system, s_base,
@@ -212,6 +215,12 @@ class UcSolution:
     m_sys: np.ndarray | None = None   # (S, T) synchronous inertia
     cost_breakdown: dict | None = None
     max_residual: float | None = None
+    # HiGHS's counts for the full run (None through milp), and the simplex
+    # iterations its start cost: the reduced MILP plus the completion LP
+    mip_dual_bound: float | None = None
+    mip_node_count: int | None = None
+    simplex_iterations: int | None = None
+    start_iterations: int | None = None
 
     @property
     def feasible(self) -> bool:
@@ -455,8 +464,12 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
 
 
 def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
+    counts = {"mip_dual_bound": res.mip_dual_bound,
+              "mip_node_count": res.mip_node_count,
+              "simplex_iterations": res.simplex_iterations}
     if not res.has_solution:
-        return UcSolution(status=res.status, objective=None, mip_gap=None)
+        return UcSolution(status=res.status, objective=None, mip_gap=None,
+                          **counts)
     inst, vm = built.instance, built.vars
     x = res.x
     u = np.rint(x[vm.u]).astype(int)
@@ -477,7 +490,7 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
         delta_da=x[vm.delta_da], delta_rt=x[vm.delta_rt],
         r_up=x[vm.r_up], r_dn=x[vm.r_dn],
         spill=x[vm.spill], shed=x[vm.shed],
-        k=k, f_sys=f_sys, r_sys=r_sys, m_sys=m_sys,
+        k=k, f_sys=f_sys, r_sys=r_sys, m_sys=m_sys, **counts,
     )
     sol.cost_breakdown = cost_breakdown(sol, inst)
     residuals = built.model.residuals(x)
@@ -487,10 +500,87 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
 
 def solve(built: BuiltModel, mip_gap: float = 1e-4,
           time_limit: float = 600.0, backend=None) -> UcSolution:
-    """Optimize a built model and extract the solution with diagnostics."""
+    """Optimize a built model and extract the solution with diagnostics.
+
+    When the scenario tree has outage branches and HiGHS is called
+    directly, the run starts from the complete point ``_start_point``
+    builds, with the reduced day's dual bound as its lower bound. Every
+    solve this takes gets what is left of ``time_limit``. A backend is
+    passed the ``start`` and ``lower_bound`` keywords only with a start.
+    """
     backend = backend or get_backend()
-    res = backend.solve(built.model, mip_gap=mip_gap, time_limit=time_limit)
-    return _extract(built, res)
+    t0 = time.perf_counter()
+
+    def left() -> float:
+        return max(0.0, time_limit - (time.perf_counter() - t0))
+
+    start_args, start_iterations = {}, None
+    if (solver._highs is not None
+            and any(s.outage_unit is not None
+                    for s in built.instance.tree.scenarios)):
+        start_args, start_iterations = _start_point(built, mip_gap, left,
+                                                    backend)
+    res = backend.solve(built.model, mip_gap=mip_gap, time_limit=left(),
+                        **start_args)
+    sol = _extract(built, res)
+    sol.start_iterations = start_iterations
+    return sol
+
+
+def _mean_wind_tree(instance: UcInstance) -> ScenarioTree:
+    """One scenario with no outage, whose wind is the probability-weighted
+    mean of the tree's no-outage realizations."""
+    tree, T = instance.tree, instance.horizon
+    base = [s for s in tree.scenarios if s.outage_unit is None]
+    pi = np.array([s.probability for s in base])
+    wind = {farm.id: (pi @ np.array([s.realization[farm.id][:T]
+                                     for s in base]) / pi.sum()).tolist()
+            for farm in instance.network.farms}
+    return ScenarioTree(
+        scenarios=[Scenario("c0/mean", float(pi.sum()), "mean", None, wind)],
+        horizon=T, unit_ids=tree.unit_ids,
+        contingency_hour=tree.contingency_hour,
+        availability=np.ones((1, len(tree.unit_ids), T), dtype=np.int8),
+        outage_size=np.zeros((1, T)))
+
+
+def _start_point(built: BuiltModel, mip_gap: float, left,
+                 backend) -> tuple[dict, int | None]:
+    """A complete feasible point of ``built`` from its reduced problem.
+
+    The reduced problem is the day on ``_mean_wind_tree`` plus the full
+    tree's frequency rows, which read only u. Its rounded u, fixed in the
+    full model, leaves an LP whose solution is the point.
+
+    Wind enters the recourse LPs on the right-hand side, so by Jensen's
+    inequality recourse at the mean wind costs no more than the expected
+    recourse: the reduced MILP's dual bound bounds the full day's optimum,
+    up to the dropped outage branches' small weight.
+
+    Returns the ``start`` and ``lower_bound`` keywords of the full solve,
+    none when either solve finds no point, and the simplex iterations of
+    both solves. ``left()`` gives each solve its time limit.
+    """
+    inst = built.instance
+    reduced = build_model(replace(inst, tree=_mean_wind_tree(inst),
+                                  freq_mode="off"))
+    if inst.freq_mode != "off":
+        _add_frequency_rows(reduced.model, reduced.vars, inst)
+    res = backend.solve(reduced.model, mip_gap=mip_gap, time_limit=left())
+    bound, counts = res.mip_dual_bound, [res.simplex_iterations]
+    if res.has_solution:
+        m, u = built.model, built.vars.u.ravel()
+        lb, ub = m.lb[u], m.ub[u]
+        m.lb[u] = m.ub[u] = np.rint(res.x[reduced.vars.u.ravel()])
+        try:
+            res = backend.solve(m, mip_gap=mip_gap, time_limit=left())
+        finally:
+            m.lb[u], m.ub[u] = lb, ub
+        counts.append(res.simplex_iterations)
+    iterations = None if None in counts else sum(counts)
+    if res.status != "optimal":
+        return {}, iterations
+    return {"start": res.x, "lower_bound": bound}, iterations
 
 
 def residual_scale(instance: UcInstance) -> float:

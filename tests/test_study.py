@@ -200,5 +200,8 @@ class TestReport:
         manifest = json.loads((tmp_path / "study_manifest.json").read_text())
         assert len(manifest["days"]) == 2 * N_DAYS
         assert manifest["trace_outage"] == "g3"
+        for day in manifest["days"]:
+            assert day["status"] == "optimal"
+            assert day["mip_gap"] <= on.config.mip_gap
         gaps = (tmp_path / "gaps.csv").read_text().splitlines()
         assert gaps[1].startswith("g3,43,")

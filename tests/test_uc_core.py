@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gridfreq import solver
+from gridfreq import solver, uc_core
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
 from gridfreq.nadir_linearization import (enumerate_commitments,
@@ -20,6 +20,9 @@ from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               load_instance, residual_scale, solve)
 
 from conftest import make_unit
+
+needs_highs = pytest.mark.skipif(
+    solver._highs is None, reason="scipy without its bundled HiGHS binding")
 
 
 def two_bus_network(horizon=4, demand1=(120, 140, 150, 130),
@@ -403,8 +406,7 @@ PARITY_CASES = {
 }
 
 
-@pytest.mark.skipif(solver._highs is None,
-                    reason="scipy without its bundled HiGHS binding")
+@needs_highs
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_direct_highs_matches_milp(case, monkeypatch):
     """The direct HiGHS path and the milp fallback give the same result."""
@@ -428,6 +430,116 @@ def test_direct_highs_matches_milp(case, monkeypatch):
         assert direct.objective.hex() == fallback.objective.hex()
         assert direct.x.tobytes() == fallback.x.tobytes()
     assert direct.mip_gap == fallback.mip_gap
+
+
+class SpyBackend(HighsBackend):
+    """Records the time limit and start of every solve."""
+
+    def __init__(self):
+        self.calls = []
+
+    def solve(self, model, **kwargs):
+        self.calls.append(kwargs)
+        return super().solve(model, **kwargs)
+
+
+def no_start(monkeypatch):
+    monkeypatch.setattr(uc_core, "_start_point",
+                        lambda *args, **kwargs: ({}, None))
+
+
+@needs_highs
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+def test_start_keeps_the_optimum(make, monkeypatch):
+    started = solve(build_model(make()), mip_gap=1e-9)
+    assert started.start_iterations > 0
+    no_start(monkeypatch)
+    cold = solve(build_model(make()), mip_gap=1e-9)
+    assert cold.start_iterations is None
+    assert started.status == cold.status == "optimal"
+    assert np.array_equal(started.u, cold.u)
+    assert started.objective == cold.objective
+
+
+def test_start_on_a_study_day(monkeypatch):
+    gap = 1e-2
+    started = solve(build_model(study_day_bounds_instance()), mip_gap=gap)
+    no_start(monkeypatch)
+    cold = solve(build_model(study_day_bounds_instance()), mip_gap=gap)
+    assert started.status == cold.status == "optimal"
+    assert started.objective == pytest.approx(cold.objective, rel=gap)
+
+
+@pytest.mark.parametrize("make, highs, calls", [
+    pytest.param(small_instance, True, 3, marks=needs_highs),
+    pytest.param(lambda: small_instance(contingency=False), True, 1,
+                 marks=needs_highs),
+    (small_instance, False, 1),
+], ids=["outages", "no_outages", "milp_fallback"])
+def test_start_solves(make, highs, calls, monkeypatch):
+    """The reduced MILP and the completion LP run only when there are
+    outage branches and HiGHS takes a start."""
+    if not highs:
+        monkeypatch.setattr(solver, "_highs", None)
+    backend = SpyBackend()
+    built = build_model(make())
+    lb, ub = built.model.lb.copy(), built.model.ub.copy()
+    sol = solve(built, mip_gap=1e-9, backend=backend)
+    assert sol.status == "optimal"
+    assert len(backend.calls) == calls
+    # the completion LP's fixed u bounds are restored
+    assert np.array_equal(built.model.lb, lb)
+    assert np.array_equal(built.model.ub, ub)
+    assert ("start" in backend.calls[-1]) == (calls == 3)
+    # HiGHS reports its counts on the direct path only
+    assert (sol.simplex_iterations is not None) == highs
+    assert (sol.mip_node_count is not None) == highs
+
+
+@pytest.mark.parametrize("time_limit", [0.0, 60.0])
+def test_start_shares_the_time_limit(time_limit):
+    backend = SpyBackend()
+    sol = solve(build_model(small_bounds_instance()), mip_gap=1e-9,
+                time_limit=time_limit, backend=backend)
+    limits = [c["time_limit"] for c in backend.calls]
+    assert all(0.0 <= b <= a <= time_limit
+               for a, b in zip([time_limit] + limits, limits))
+    assert sol.status == ("timeout" if time_limit == 0 else "optimal")
+
+
+def test_infeasible_start_is_ignored():
+    m = model_of(small_bounds_instance)
+    cold = HighsBackend().solve(m, mip_gap=1e-9)
+    bad = HighsBackend().solve(m, mip_gap=1e-9,
+                               start=np.full(m.n_vars, 1e6))
+    assert bad.status == cold.status == "optimal"
+    assert bad.objective == cold.objective
+
+
+@needs_highs
+@pytest.mark.parametrize("shortfall, skipped", [
+    (0.0, True), (1e-3, False), (None, False)])
+def test_root_heuristics_skipped_for_a_start_within_the_gap(
+        shortfall, skipped, monkeypatch):
+    m = model_of(small_instance)
+    best = HighsBackend().solve(m, mip_gap=1e-9)
+    options = {}
+
+    class Recording(solver._highs._Highs):
+        def setOptionValue(self, name, value):
+            options[name] = value
+            return super().setOptionValue(name, value)
+
+    monkeypatch.setattr(solver._highs, "_Highs", Recording)
+    bound = (None if shortfall is None
+             else best.objective * (1.0 - shortfall))
+    res = HighsBackend().solve(m, mip_gap=1e-4, start=best.x,
+                               lower_bound=bound)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(best.objective, rel=1e-4)
+    off = {name for name, value in options.items() if value is False}
+    assert off == ({"log_to_console"} | set(solver._ROOT_HEURISTICS)
+                   if skipped else {"log_to_console"})
 
 
 def test_brute_force_guard():
