@@ -23,13 +23,6 @@ INF = float("inf")
 # HiGHS's sub-MIP (RENS, RINS) and reduced-cost heuristics at the root
 _ROOT_HEURISTICS = ("mip_heuristic_run_rens", "mip_heuristic_run_rins",
                     "mip_heuristic_run_root_reduced_cost")
-# A start within this many mip_gaps of the caller's lower bound skips the
-# root heuristics. A bound from a reduced problem leaves out part of the
-# cost (for a daily MILP, the spread of wind across scenarios), so it can
-# sit a few gaps below an optimal start: 2.5-4.3 gaps on the ten-scenario
-# study days whose start was optimal, against 9.8 on the one day where a
-# root sub-MIP found a schedule 5.5% cheaper than the start.
-_START_GAPS = 5.0
 
 
 @dataclass
@@ -153,28 +146,27 @@ class HighsBackend:
 
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
               time_limit: float = 600.0, start: np.ndarray | None = None,
-              lower_bound: float | None = None) -> SolveResult:
+              skip_root_heuristics: bool = False) -> SolveResult:
         """Solve ``model``.
 
         ``start`` is a full column vector HiGHS tries as its first
-        incumbent, and ``lower_bound`` a bound on the optimum known from
-        elsewhere; ``milp`` takes neither.
+        incumbent. ``skip_root_heuristics`` turns off HiGHS's root RENS,
+        RINS and reduced-cost heuristics, which look for a better
+        incumbent than the one it has. ``milp`` takes neither.
         """
         if _highs is None:
             return _solve_milp(model, mip_gap, time_limit)
-        return _solve_direct(model, mip_gap, time_limit, start, lower_bound)
+        return _solve_direct(model, mip_gap, time_limit, start,
+                             skip_root_heuristics)
 
 
 def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
                   start: np.ndarray | None,
-                  lower_bound: float | None) -> SolveResult:
+                  skip_root_heuristics: bool) -> SolveResult:
     """One HiGHS run on the arrays and options ``milp`` would pass.
 
     HiGHS checks ``start`` and drops it when it breaks a bound, a row or
-    integrality. A start within ``_START_GAPS`` gaps of ``lower_bound``
-    skips the root heuristics, which look for a better incumbent; on
-    study days with such a start they used most of the run's simplex
-    iterations and never improved it.
+    integrality.
     """
     asm = model.assembly()
     a = asm.csc
@@ -193,12 +185,9 @@ def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
         point.col_value = start
         point.value_valid = True
         h.setSolution(point)
-        value = float(model.c @ start)
-        if (lower_bound is not None
-                and (value - lower_bound
-                     <= _START_GAPS * mip_gap * abs(value))):
-            for name in _ROOT_HEURISTICS:
-                h.setOptionValue(name, False)
+    if skip_root_heuristics:
+        for name in _ROOT_HEURISTICS:
+            h.setOptionValue(name, False)
     ran = h.run() != _highs.HighsStatus.kError
     status = h.getModelStatus()
     info = h.getInfo()

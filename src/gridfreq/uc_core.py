@@ -15,6 +15,7 @@ their defining identities.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -502,11 +503,9 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
           time_limit: float = 600.0, backend=None) -> UcSolution:
     """Optimize a built model and extract the solution with diagnostics.
 
-    When the scenario tree has outage branches and HiGHS is called
-    directly, the run starts from the complete point ``_start_point``
-    builds, with the reduced day's dual bound as its lower bound. Every
-    solve this takes gets what is left of ``time_limit``. A backend is
-    passed the ``start`` and ``lower_bound`` keywords only with a start.
+    When the scenario tree has outage branches and the backend takes a
+    start, the run starts from the complete point ``_start_point``
+    builds. Every solve this takes gets what is left of ``time_limit``.
     """
     backend = backend or get_backend()
     t0 = time.perf_counter()
@@ -515,7 +514,7 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
         return max(0.0, time_limit - (time.perf_counter() - t0))
 
     start_args, start_iterations = {}, None
-    if (solver._highs is not None
+    if (_takes_start(backend)
             and any(s.outage_unit is not None
                     for s in built.instance.tree.scenarios)):
         start_args, start_iterations = _start_point(built, mip_gap, left,
@@ -525,6 +524,19 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
     sol = _extract(built, res)
     sol.start_iterations = start_iterations
     return sol
+
+
+def _takes_start(backend) -> bool:
+    """Whether ``backend.solve`` can use a start: HiGHS is called directly
+    (``milp`` takes none), and ``solve`` accepts the ``start`` and
+    ``skip_root_heuristics`` keywords, by name or through ``**kwargs``.
+    ``inspect.signature`` sees through a ``functools.wraps`` wrapper, so a
+    tracing wrapper around ``HighsBackend.solve`` still gets the start."""
+    if solver._highs is None:
+        return False
+    params = inspect.signature(backend.solve).parameters.values()
+    return any(p.kind is p.VAR_KEYWORD for p in params) or {
+        "start", "skip_root_heuristics"} <= {p.name for p in params}
 
 
 def _mean_wind_tree(instance: UcInstance) -> ScenarioTree:
@@ -554,12 +566,19 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
 
     Wind enters the recourse LPs on the right-hand side, so by Jensen's
     inequality recourse at the mean wind costs no more than the expected
-    recourse: the reduced MILP's dual bound bounds the full day's optimum,
-    up to the dropped outage branches' small weight.
+    recourse. The reduced MILP's dual bound is still only an approximate
+    bound on the full day's optimum: the dropped outage branches carry a
+    small weight, and their recourse can cost less than nothing, as
+    down reserve has a negative cost. A start within ``mip_gap`` of that
+    bound is taken to meet the gap already, so the full run skips the
+    root heuristics, which look for a better incumbent; on paired study
+    days they used most of a started run's simplex iterations and never
+    improved the start.
 
-    Returns the ``start`` and ``lower_bound`` keywords of the full solve,
-    none when either solve finds no point, and the simplex iterations of
-    both solves. ``left()`` gives each solve its time limit.
+    Returns the ``start`` and ``skip_root_heuristics`` keywords of the
+    full solve, none when either solve finds no point, and the simplex
+    iterations of both solves. ``left()`` gives each solve its time
+    limit.
     """
     inst = built.instance
     reduced = build_model(replace(inst, tree=_mean_wind_tree(inst),
@@ -580,7 +599,8 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     iterations = None if None in counts else sum(counts)
     if res.status != "optimal":
         return {}, iterations
-    return {"start": res.x, "lower_bound": bound}, iterations
+    skip = res.objective - bound <= mip_gap * abs(res.objective)
+    return {"start": res.x, "skip_root_heuristics": skip}, iterations
 
 
 def residual_scale(instance: UcInstance) -> float:

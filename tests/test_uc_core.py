@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -528,11 +529,8 @@ def test_infeasible_start_is_ignored():
 
 
 @needs_highs
-@pytest.mark.parametrize("shortfall, skipped", [
-    (0.0, True), (4e-4, True), (1e-3, False), (None, False)])
-def test_root_heuristics_skipped_for_a_start_near_the_bound(
-        shortfall, skipped, monkeypatch):
-    """At mip_gap 1e-4, a start within five gaps of the bound skips them."""
+@pytest.mark.parametrize("skip", [True, False])
+def test_skip_root_heuristics(skip, monkeypatch):
     m = model_of(small_instance)
     best = HighsBackend().solve(m, mip_gap=1e-9)
     options = {}
@@ -543,15 +541,81 @@ def test_root_heuristics_skipped_for_a_start_near_the_bound(
             return super().setOptionValue(name, value)
 
     monkeypatch.setattr(solver._highs, "_Highs", Recording)
-    bound = (None if shortfall is None
-             else best.objective * (1.0 - shortfall))
     res = HighsBackend().solve(m, mip_gap=1e-4, start=best.x,
-                               lower_bound=bound)
+                               skip_root_heuristics=skip)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(best.objective, rel=1e-4)
     off = {name for name, value in options.items() if value is False}
     assert off == ({"log_to_console"} | set(solver._ROOT_HEURISTICS)
-                   if skipped else {"log_to_console"})
+                   if skip else {"log_to_console"})
+
+
+@needs_highs
+@pytest.mark.parametrize("mip_gap, skip", [(1e-9, False), (0.9, True)])
+def test_start_near_the_reduced_bound_skips_root_heuristics(mip_gap, skip):
+    """The start (47,970, with load shed after the outage) is 79% above
+    the mean-wind day's bound (9,859): outside a 1e-9 gap, inside 0.9."""
+    backend = SpyBackend()
+    solve(build_model(small_instance()), mip_gap=mip_gap, backend=backend)
+    assert backend.calls[-1]["skip_root_heuristics"] == skip
+
+
+class OldSignature:
+    """A backend whose solve takes only mip_gap and time_limit."""
+
+    def solve(self, model, mip_gap=1e-4, time_limit=600.0):
+        return HighsBackend().solve(model, mip_gap=mip_gap,
+                                    time_limit=time_limit)
+
+
+class Wrapped:
+    """A backend that wraps HighsBackend.solve, as a tracer does."""
+
+    def __init__(self):
+        inner = HighsBackend().solve
+
+        @functools.wraps(inner)
+        def solve(*args, **kwargs):
+            return inner(*args, **kwargs)
+        self.solve = solve
+
+
+@needs_highs
+@pytest.mark.parametrize("backend, calls", [
+    (OldSignature, 1), (Wrapped, 3)], ids=["old_signature", "wrapped"])
+def test_start_needs_a_start_keyword(backend, calls, monkeypatch):
+    """Only a solve that accepts the start keywords gets the start and
+    the two solves that build it."""
+    backend = backend()
+    seen = []
+    solve_of = backend.solve
+
+    @functools.wraps(solve_of)
+    def counting(*args, **kwargs):
+        seen.append(kwargs)
+        return solve_of(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "solve", counting)
+    sol = solve(build_model(small_instance()), mip_gap=1e-9, backend=backend)
+    assert sol.status == "optimal"
+    assert len(seen) == calls
+    assert ("start" in seen[-1]) == (calls == 3)
+
+
+def test_mean_wind_tree():
+    inst = small_instance()
+    tree = uc_core._mean_wind_tree(inst)
+    no_outage = [s for s in inst.tree.scenarios if s.outage_unit is None]
+    (mean,) = tree.scenarios
+    assert mean.outage_unit is None
+    # the two wind scenarios are equally likely
+    assert mean.realization["w1"] == pytest.approx([30.0, 35.0, 32.5, 27.5])
+    assert mean.probability == pytest.approx(
+        sum(s.probability for s in no_outage))
+    assert mean.probability < 1.0
+    assert tree.availability.shape == (1, 2, inst.horizon)
+    assert tree.availability.all()
+    assert not tree.outage_size.any()
 
 
 def test_brute_force_guard():
