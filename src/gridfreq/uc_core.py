@@ -14,10 +14,13 @@ their defining identities.
 
 from __future__ import annotations
 
+import copy
 import csv
 import inspect
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -675,6 +678,26 @@ def _commitment_patterns(built: BuiltModel):
             yield cols, v, bool(ok)
 
 
+def _best_pattern(model: SolverModel, patterns: list, backend):
+    """``(objective, index, result)`` of the cheapest optimal LP among
+    ``patterns``, the first such pattern on a tie, or None.
+
+    Patterns are ``(index, cols, vals)`` in increasing index. They are
+    fixed on a copy of ``model`` with its own column bounds, so workers
+    can share the model.
+    """
+    m = copy.copy(model)
+    m.lb, m.ub = model.lb.copy(), model.ub.copy()
+    best = None
+    for k, cols, vals in patterns:
+        m.lb[cols] = m.ub[cols] = vals
+        res = backend.solve(m, mip_gap=1e-9, time_limit=60.0)
+        if res.status == "optimal" and (best is None
+                                        or res.objective < best[0]):
+            best = (res.objective, k, res)
+    return best
+
+
 def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     """Exhaustive commitment enumeration as a testing oracle.
 
@@ -687,7 +710,11 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
 
     u is the model's only integer family and every pattern fixes it, so
     the builder's integrality flags are cleared and each pattern is a
-    plain LP: one fresh, cold solve through ``backend.solve``.
+    plain LP: one fresh, cold solve through ``backend.solve``. The LPs
+    run on one worker thread per CPU this process may use, each worker
+    taking every n-th pattern. The answer is the lowest objective, and
+    among equal objectives the first pattern in ``itertools.product``
+    order: what solving them one after another in that order keeps.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
@@ -696,25 +723,20 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     built = build_model(instance)
     m = built.model
     m.is_int = [False] * m.n_vars
+    # built once here, so the workers' copies share it
+    m.assembly()
     backend = backend or get_backend()
 
-    # every pattern fixes the same columns, so each overwrites the last
-    base_lb, base_ub = m.lb.copy(), m.ub.copy()
-    best: UcSolution | None = None
-    for cols, vals, passes in _commitment_patterns(built):
-        if not passes:
-            continue
-        m.lb[cols] = m.ub[cols] = vals
-        res = backend.solve(m, mip_gap=1e-9, time_limit=60.0)
-        if res.status != "optimal":
-            continue
-        if best is None or res.objective < best.objective:
-            best = _extract(built, res)
-    m.lb = base_lb
-    m.ub = base_ub
-    if best is None:
+    patterns = [(k, cols, vals) for k, (cols, vals, passes)
+                in enumerate(_commitment_patterns(built)) if passes]
+    n = len(os.sched_getaffinity(0))
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        bests = list(pool.map(
+            lambda w: _best_pattern(m, patterns[w::n], backend), range(n)))
+    found = [b for b in bests if b is not None]
+    if not found:
         return UcSolution(status="infeasible", objective=None, mip_gap=None)
-    return best
+    return _extract(built, min(found, key=lambda b: b[:2])[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import filecmp
+from pathlib import Path
+
 import pytest
 
+from gridfreq.casedata import write_study_case
 from gridfreq.system import (ConverterFleet, FrequencyLimits, PowerSystem,
                              SystemDataError, load_system, save_system,
                              system_from_dict, system_to_dict)
@@ -17,6 +21,13 @@ def tiny_system():
 
 def test_s_base_includes_converters():
     assert tiny_system().s_base == 475.0
+
+
+def test_shipped_study_data_regenerates(tmp_path):
+    write_study_case(tmp_path)
+    data = Path(__file__).resolve().parent.parent / "data"
+    for name in ("study_system.json", "study_wind.csv"):
+        assert filecmp.cmp(tmp_path / name, data / name, shallow=False), name
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,6 +1,10 @@
 import functools
 import hashlib
 import json
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -326,15 +330,98 @@ def test_brute_force_screen_is_sound(make):
     assert passed and rejected
 
     class Counting(HighsBackend):
+        # solve runs on brute_force_uc's worker threads
         calls = 0
+        lock = threading.Lock()
 
         def solve(self, model, **kwargs):
-            self.calls += 1
+            with self.lock:
+                self.calls += 1
             return super().solve(model, **kwargs)
 
     backend = Counting()
     brute_force_uc(inst, backend=backend)
     assert backend.calls == passed
+
+
+def _fingerprint(sol):
+    return (sol.status, sol.objective.hex(), sol.u.tolist(),
+            sol.max_residual.hex())
+
+
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+def test_brute_force_pool_matches_one_worker(make, monkeypatch):
+    pooled = _fingerprint(brute_force_uc(make()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert pooled == _fingerprint(brute_force_uc(make()))
+
+
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+def test_brute_force_workers_fix_own_patterns(make, monkeypatch):
+    # more workers than cores, each yielding between fixing a pattern and
+    # solving it: a worker that wrote another's bounds would make some
+    # pattern reach the backend twice and another not at all
+    class Recording(HighsBackend):
+        def __init__(self, u_cols):
+            self.u_cols, self.seen = u_cols, []
+            self.lock = threading.Lock()
+
+        def solve(self, model, **kwargs):
+            time.sleep(1e-4)
+            with self.lock:
+                self.seen.append(model.lb[self.u_cols].tobytes())
+            return super().solve(model, **kwargs)
+
+    inst = make()
+    built = build_model(inst)
+    n = built.vars.u.size
+    passing = sorted(vals[:n].tobytes() for _, vals, passes
+                     in _commitment_patterns(built) if passes)
+    backend = Recording(built.vars.u.ravel())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        brute_force_uc(inst, backend=backend)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(backend.seen) == passing
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_brute_force_tie_keeps_first_pattern(n_cpus, monkeypatch):
+    class Tied(HighsBackend):
+        def solve(self, model, **kwargs):
+            res = super().solve(model, **kwargs)
+            if res.status == "optimal":
+                res = replace(res, objective=1.0)
+            return res
+
+    inst = small_instance()
+    built = build_model(inst)
+    m = built.model
+    m.is_int = [False] * m.n_vars
+    # every pattern fixes the same columns, so each overwrites the last
+    for cols, vals, passes in _commitment_patterns(built):
+        if not passes:
+            continue
+        m.lb[cols] = m.ub[cols] = vals
+        if HighsBackend().solve(m, mip_gap=1e-9).status == "optimal":
+            first = vals[:built.vars.u.size]
+            break
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n_cpus)))
+    sol = brute_force_uc(inst, backend=Tied())
+    assert sol.objective == 1.0
+    assert np.array_equal(sol.u.ravel(), first)
+
+
+def test_brute_force_milp_fallback(monkeypatch):
+    direct = brute_force_uc(small_instance())
+    monkeypatch.setattr(solver, "_highs", None)
+    fallback = brute_force_uc(small_instance())
+    assert np.array_equal(fallback.u, direct.u)
+    assert fallback.objective == pytest.approx(direct.objective, rel=1e-9)
 
 
 def study_day_bounds_instance(n_wind=None):
