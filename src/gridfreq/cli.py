@@ -71,7 +71,7 @@ def cmd_linearize(args) -> int:
               f"({int(box.sum())} of {len(cloud)} patterns admitted)",
               file=sys.stderr)
     else:
-        fn = make_nadir_fn(float(cloud.d[0]), system.t_turbine,
+        fn = make_nadir_fn(cloud.d, system.t_turbine,
                            cloud.delta_p, system.limits, m_v=cloud.m_v)
         fit = fit_pwl(fn, nadir_grid(cloud, args.grid), args.segments,
                       restarts=args.restarts, seed=args.seed)

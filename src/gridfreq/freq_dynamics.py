@@ -52,8 +52,7 @@ class FrequencyWeights:
     """
 
     s_base: float
-    k: np.ndarray      # scaled governor gain: p_max * gain_k / s_base
-    m_w: np.ndarray    # inertia: 2 * inertia_h * k
+    m_w: np.ndarray    # inertia: 2 * inertia_h * k, k = p_max*gain_k/s_base
     r_w: np.ndarray    # droop: k / droop
     f_w: np.ndarray    # turbine: turbine_fraction * r_w
     m_v: float         # converter virtual inertia
@@ -103,7 +102,7 @@ def frequency_weights(units: list[SynchronousUnit],
     k = np.array([u.p_max * u.gain_k / base for u in units])
     r_w = k / np.array([u.droop for u in units])
     return FrequencyWeights(
-        s_base=base, k=k,
+        s_base=base,
         m_w=2.0 * np.array([u.inertia_h for u in units]) * k,
         r_w=r_w,
         f_w=np.array([u.turbine_fraction for u in units]) * r_w,

@@ -21,6 +21,8 @@ from .freq_dynamics import frequency_weights, nadir_closed_form
 from .system import ConverterFleet, FrequencyLimits, SynchronousUnit
 
 ENUMERATION_GUARD = 25
+_BOUND_BINS = 64       # quantile bins per axis of the binned bound search
+_FIT_MAX_ITER = 100    # assignment/refit rounds per max-affine restart
 
 
 class LinearizationError(ValueError):
@@ -38,7 +40,7 @@ class CommitmentCloud:
     survivor_ids: list[str]
     delta_p: float
     m_v: float
-    d: np.ndarray
+    d: float
     m: np.ndarray
     r_g: np.ndarray
     f_g: np.ndarray
@@ -130,14 +132,13 @@ def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
     m = bits @ w.m_w[survivor_idx]
     r_g = bits @ w.r_w[survivor_idx]
     f_g = bits @ w.f_w[survivor_idx]
-    d = np.full(len(bits), w.d)
 
-    nadir = nadir_closed_form(m + w.m_v, d, r_g, f_g, t_turbine, delta_p,
+    nadir = nadir_closed_form(m + w.m_v, w.d, r_g, f_g, t_turbine, delta_p,
                               limits.f_base)
     safe = nadir <= limits.nadir_lim
     safe[0] = False   # all survivors offline: unsafe by convention
     return CommitmentCloud(survivor_ids=[units[k].id for k in survivor_idx],
-                           delta_p=delta_p, m_v=w.m_v, d=d, m=m, r_g=r_g,
+                           delta_p=delta_p, m_v=w.m_v, d=w.d, m=m, r_g=r_g,
                            f_g=f_g, nadir_hz=nadir, safe=safe)
 
 
@@ -229,8 +230,7 @@ def extract_bounds(cloud: CommitmentCloud,
     return bounds
 
 
-def _extract_bounds_binned(cloud: CommitmentCloud,
-                           n_bins: int = 64) -> NadirBounds:
+def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
     """Quantile-binned bound search for large clouds.
 
     Candidate (m_lim, f_lim) pairs come from bin edges taken at quantiles
@@ -243,9 +243,9 @@ def _extract_bounds_binned(cloud: CommitmentCloud,
     f_vals, r_vals, m_vals = np.unique(f), np.unique(r), np.unique(m)
 
     def edges(vals: np.ndarray) -> np.ndarray:
-        if len(vals) <= n_bins:
+        if len(vals) <= _BOUND_BINS:
             return vals
-        idx = np.unique(np.linspace(0, len(vals) - 1, n_bins).astype(int))
+        idx = np.unique(np.linspace(0, len(vals) - 1, _BOUND_BINS).astype(int))
         return vals[idx]
 
     m_edges, f_edges = edges(m_vals), edges(f_vals)
@@ -295,7 +295,7 @@ def _extract_bounds_binned(cloud: CommitmentCloud,
 
 
 def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
-                   restarts: int = 20, max_iter: int = 100, seed: int = 0,
+                   restarts: int = 20, seed: int = 0,
                    warm_start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Least-squares max-affine fit by alternating assignment and refit.
 
@@ -362,7 +362,7 @@ def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
     best_coeffs = None
     for coeffs in inits:
         obj, _ = objective(coeffs)
-        for _ in range(max_iter):
+        for _ in range(_FIT_MAX_ITER):
             new = refit(coeffs)
             new_obj, _ = objective(new)
             if not np.isfinite(new_obj):
@@ -446,7 +446,7 @@ def benchmark_linearizations(units: Sequence[SynchronousUnit],
     bounds = extract_bounds(cloud, limits)
     t_bounds = time.perf_counter() - t0
 
-    fn = make_nadir_fn(float(cloud.d[0]), t_turbine, cloud.delta_p, limits,
+    fn = make_nadir_fn(cloud.d, t_turbine, cloud.delta_p, limits,
                        m_v=cloud.m_v)
     grid = nadir_grid(cloud, n_per_dim=grid_per_dim)
     pwl_times = {}

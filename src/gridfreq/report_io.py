@@ -54,8 +54,7 @@ def _load_run(study_dir: Path, sub: str, config: StudyConfig, template,
         if not day_dir.is_dir():
             raise StudyError(f"missing persisted solution {day_dir}")
         mode = modes[day - 1]
-        instance = day_instance(template, day, "off", InitialState(), None)
-        instance.freq_mode = mode
+        instance = day_instance(template, day, mode, InitialState(), None)
         sol = load_day_solution(day_dir, instance)
         days.append(DayResult(day=day, freq_mode=mode, instance=instance,
                               solution=sol))
@@ -78,7 +77,6 @@ def regenerate_report(study_dir: str | Path, out_dir: str | Path) -> None:
     modes_on = [d["freq_mode"] for d in day_entries[config.n_days:]]
     result_off = _load_run(study_dir, "solutions_off", config, template,
                            modes_off)
-    cfg_on = config
-    result_on = _load_run(study_dir, "solutions_on", cfg_on, template,
+    result_on = _load_run(study_dir, "solutions_on", config, template,
                           modes_on)
     report(result_off, result_on, out_dir)

@@ -123,8 +123,8 @@ def prepare_surrogates(units, fleet, limits, t_turbine, outages,
         if freq_mode == "bounds":
             out[uid] = extract_bounds(cloud, limits)
         else:
-            fn = make_nadir_fn(float(cloud.d[0]), t_turbine, cloud.delta_p,
-                               limits, m_v=cloud.m_v)
+            fn = make_nadir_fn(cloud.d, t_turbine, cloud.delta_p, limits,
+                               m_v=cloud.m_v)
             out[uid] = fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=60,
                                seed=seed)
     return out
@@ -262,14 +262,10 @@ def run_study(template: StudyTemplate, config: StudyConfig,
         state = _carry_state(template.units, sol, run_on, run_off)
     result = StudyResult(config=config, template=template, days=days)
     if config.out_dir is not None:
-        persist_solutions(result, config.out_dir)
+        for d in days:
+            dump_solution(d.solution, d.instance,
+                          Path(config.out_dir) / f"day{d.day}")
     return result
-
-
-def persist_solutions(result: StudyResult, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    for d in result.days:
-        dump_solution(d.solution, d.instance, out / f"day{d.day}")
 
 
 def posthoc_gaps(sol: UcSolution, instance: UcInstance,

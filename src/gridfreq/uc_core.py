@@ -165,6 +165,11 @@ class UcInstance:
             if set(s.realization) != farm_ids:
                 raise UcModelError(
                     f"scenario {s.id} wind farms do not match the network")
+            for farm, series in s.realization.items():
+                if len(series) < self.horizon:
+                    raise UcModelError(
+                        f"wind series of {farm} in scenario {s.id} shorter "
+                        f"than horizon {self.horizon}")
         if self.freq_mode in ("bounds", "pwl"):
             needed = {s.outage_unit for s in self.tree.scenarios
                       if s.outage_unit is not None}
@@ -213,7 +218,6 @@ class UcSolution:
     r_dn: np.ndarray | None = None
     spill: np.ndarray | None = None
     shed: np.ndarray | None = None
-    k: np.ndarray | None = None       # (I, S, T) scaled gains
     f_sys: np.ndarray | None = None   # (S, T) aggregate turbine fraction
     r_sys: np.ndarray | None = None   # (S, T) aggregate droop
     m_sys: np.ndarray | None = None   # (S, T) synchronous inertia
@@ -480,10 +484,7 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
     y = np.rint(x[vm.y]).astype(int)
     z = np.rint(x[vm.z]).astype(int)
     fw = frequency_weights(inst.units, inst.fleet)
-    alpha = inst.tree.availability
-    # k_{i,s,t} = k_i * u_{i,t} * alpha_{s,i,t}, reshaped to (I, S, T)
-    k = (fw.k[None, :, None] * u[None, :, :] * alpha).transpose(1, 0, 2)
-    ualpha = u[None, :, :] * alpha     # (S, I, T)
+    ualpha = u[None, :, :] * inst.tree.availability     # (S, I, T)
     f_sys = np.einsum("sit,i->st", ualpha, fw.f_w)
     r_sys = np.einsum("sit,i->st", ualpha, fw.r_w)
     m_sys = np.einsum("sit,i->st", ualpha, fw.m_w)
@@ -494,7 +495,7 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
         delta_da=x[vm.delta_da], delta_rt=x[vm.delta_rt],
         r_up=x[vm.r_up], r_dn=x[vm.r_dn],
         spill=x[vm.spill], shed=x[vm.shed],
-        k=k, f_sys=f_sys, r_sys=r_sys, m_sys=m_sys, **counts,
+        f_sys=f_sys, r_sys=r_sys, m_sys=m_sys, **counts,
     )
     sol.cost_breakdown = cost_breakdown(sol, inst)
     residuals = built.model.residuals(x)
@@ -508,7 +509,8 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
 
     When the scenario tree has outage branches and the backend takes a
     start, the run starts from the complete point ``_start_point``
-    builds. Every solve this takes gets what is left of ``time_limit``.
+    builds. Every solve this takes gets what is left of ``time_limit``,
+    and none writes ``built``.
     """
     backend = backend or get_backend()
     t0 = time.perf_counter()
@@ -559,13 +561,26 @@ def _mean_wind_tree(instance: UcInstance) -> ScenarioTree:
         outage_size=np.zeros((1, T)))
 
 
+def _fixed(model: SolverModel, cols, vals) -> SolverModel:
+    """A copy of ``model`` with ``cols`` fixed at ``vals``. It has its own
+    column bounds and shares the rest, the assembly built first if need be:
+    ``model`` is not written, and its later solves reuse the one matrix."""
+    model.assembly()
+    m = copy.copy(model)
+    m.lb, m.ub = model.lb.copy(), model.ub.copy()
+    m.lb[cols] = m.ub[cols] = vals
+    return m
+
+
 def _start_point(built: BuiltModel, mip_gap: float, left,
                  backend) -> tuple[dict, int | None]:
     """A complete feasible point of ``built`` from its reduced problem.
 
     The reduced problem is the day on ``_mean_wind_tree`` plus the full
-    tree's frequency rows, which read only u. Its rounded u, fixed in the
-    full model, leaves an LP whose solution is the point.
+    tree's frequency rows, which read only u. Its rounded u, fixed in a
+    ``_fixed`` copy of the full model, leaves an LP whose solution is the
+    point; ``built.model`` is not written, and keeps the assembly the copy
+    shares for the full run.
 
     Wind enters the recourse LPs on the right-hand side, so by Jensen's
     inequality recourse at the mean wind costs no more than the expected
@@ -591,13 +606,9 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     res = backend.solve(reduced.model, mip_gap=mip_gap, time_limit=left())
     bound, counts = res.mip_dual_bound, [res.simplex_iterations]
     if res.has_solution:
-        m, u = built.model, built.vars.u.ravel()
-        lb, ub = m.lb[u], m.ub[u]
-        m.lb[u] = m.ub[u] = np.rint(res.x[reduced.vars.u.ravel()])
-        try:
-            res = backend.solve(m, mip_gap=mip_gap, time_limit=left())
-        finally:
-            m.lb[u], m.ub[u] = lb, ub
+        u = np.rint(res.x[reduced.vars.u.ravel()])
+        res = backend.solve(_fixed(built.model, built.vars.u.ravel(), u),
+                            mip_gap=mip_gap, time_limit=left())
         counts.append(res.simplex_iterations)
     iterations = None if None in counts else sum(counts)
     if res.status != "optimal":
@@ -634,18 +645,19 @@ def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
 # HiGHS's default primal feasibility tolerance: a row over fixed columns
 # that misses its bounds by more makes the LP infeasible
 _FEAS_TOL = 1e-7
-# patterns screened per array block, which bounds the screen's memory
+# patterns screened per array block, which bounds the screen's temporaries
 _SCREEN_BLOCK = 256
 
 
 def _commitment_patterns(built: BuiltModel):
     """Every u pattern in ``itertools.product`` order, with the implied y, z.
 
-    Yields ``(cols, vals, passes)``: the u, y and z columns, their fixed
-    values, and whether those values keep u within its bounds and satisfy,
-    within ``_FEAS_TOL``, every row with no entry outside these columns.
-    A pattern that does not pass is infeasible; one that passes needs an LP.
-    Patterns are screened as arrays, ``_SCREEN_BLOCK`` at a time.
+    Returns ``(cols, vals, passes)``: the u, y and z columns, one row of
+    their fixed values per pattern, and whether each row keeps u within its
+    bounds and satisfies, within ``_FEAS_TOL``, every row with no entry
+    outside these columns. A pattern that does not pass is infeasible; one
+    that passes needs an LP. Patterns are screened ``_SCREEN_BLOCK`` at a
+    time.
     """
     m, vm, inst = built.model, built.vars, built.instance
     I, T = vm.u.shape
@@ -665,37 +677,18 @@ def _commitment_patterns(built: BuiltModel):
                    for unit in inst.units])
     # bit j of pattern k, most significant first, as itertools.product
     shifts = np.arange(n - 1, -1, -1)
+    vals = np.empty((2 ** n, len(cols)))
+    passes = np.empty(2 ** n, dtype=bool)
     for start in range(0, 2 ** n, _SCREEN_BLOCK):
         k = np.arange(start, min(start + _SCREEN_BLOCK, 2 ** n))
         u = ((k[:, None] >> shifts) & 1).reshape(-1, I, T)
         du = np.diff(u, axis=2, prepend=np.broadcast_to(u0, (len(k), I, 1)))
-        vals = np.concatenate([u, np.maximum(du, 0), np.maximum(-du, 0)],
-                              axis=1).reshape(len(k), -1).astype(float)
-        gx = vals @ g.T
-        passes = ~(np.any(lo - gx > _FEAS_TOL, axis=1)
-                   | np.any(gx - hi > _FEAS_TOL, axis=1))
-        for v, ok in zip(vals, passes):
-            yield cols, v, bool(ok)
-
-
-def _best_pattern(model: SolverModel, patterns: list, backend):
-    """``(objective, index, result)`` of the cheapest optimal LP among
-    ``patterns``, the first such pattern on a tie, or None.
-
-    Patterns are ``(index, cols, vals)`` in increasing index. They are
-    fixed on a copy of ``model`` with its own column bounds, so workers
-    can share the model.
-    """
-    m = copy.copy(model)
-    m.lb, m.ub = model.lb.copy(), model.ub.copy()
-    best = None
-    for k, cols, vals in patterns:
-        m.lb[cols] = m.ub[cols] = vals
-        res = backend.solve(m, mip_gap=1e-9, time_limit=60.0)
-        if res.status == "optimal" and (best is None
-                                        or res.objective < best[0]):
-            best = (res.objective, k, res)
-    return best
+        vals[k] = np.concatenate([u, np.maximum(du, 0), np.maximum(-du, 0)],
+                                 axis=1).reshape(len(k), -1)
+        gx = vals[k] @ g.T
+        passes[k] = ~(np.any(lo - gx > _FEAS_TOL, axis=1)
+                      | np.any(gx - hi > _FEAS_TOL, axis=1))
+    return cols, vals, passes
 
 
 def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
@@ -710,11 +703,12 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
 
     u is the model's only integer family and every pattern fixes it, so
     the builder's integrality flags are cleared and each pattern is a
-    plain LP: one fresh, cold solve through ``backend.solve``. The LPs
-    run on one worker thread per CPU this process may use, each worker
-    taking every n-th pattern. The answer is the lowest objective, and
-    among equal objectives the first pattern in ``itertools.product``
-    order: what solving them one after another in that order keeps.
+    plain LP: one fresh, cold solve of a ``_fixed`` copy of the model,
+    which is never written. The LPs run on one worker thread per CPU this
+    process may use, each worker taking every n-th pattern. The answer is
+    the lowest objective, and among equal objectives the first pattern in
+    ``itertools.product`` order: what solving them one after another in
+    that order keeps.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
@@ -722,21 +716,27 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
             f"{I * T} binary decisions exceed the brute-force limit of 16")
     built = build_model(instance)
     m = built.model
+    # cleared before _commitment_patterns builds the shared assembly
     m.is_int = [False] * m.n_vars
-    # built once here, so the workers' copies share it
-    m.assembly()
     backend = backend or get_backend()
+    cols, vals, passes = _commitment_patterns(built)
 
-    patterns = [(k, cols, vals) for k, (cols, vals, passes)
-                in enumerate(_commitment_patterns(built)) if passes]
-    n = len(os.sched_getaffinity(0))
+    def cheapest(share):
+        # (objective, index, result) of the share's cheapest optimal LP
+        solved = ((backend.solve(_fixed(m, cols, vals[k]), mip_gap=1e-9,
+                                 time_limit=60.0), k) for k in share)
+        return min(((res.objective, k, res) for res, k in solved
+                    if res.status == "optimal"),
+                   key=lambda b: b[:2], default=None)
+
+    todo, n = np.flatnonzero(passes), len(os.sched_getaffinity(0))
     with ThreadPoolExecutor(max_workers=n) as pool:
-        bests = list(pool.map(
-            lambda w: _best_pattern(m, patterns[w::n], backend), range(n)))
-    found = [b for b in bests if b is not None]
-    if not found:
+        best = min(filter(None, pool.map(cheapest, (todo[w::n]
+                                                    for w in range(n)))),
+                   key=lambda b: b[:2], default=None)
+    if best is None:
         return UcSolution(status="infeasible", objective=None, mip_gap=None)
-    return _extract(built, min(found, key=lambda b: b[:2])[2])
+    return _extract(built, best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,7 @@ class TestPwlFit:
     def test_fit_underestimates_little(self, fleet_conv, limits):
         units = small_fleet()
         cloud = enumerate_commitments(units, "out", fleet_conv, limits, 7.0)
-        d_const = float(cloud.d[0])
-        fn = make_nadir_fn(d_const, 7.0, cloud.delta_p, limits,
+        fn = make_nadir_fn(cloud.d, 7.0, cloud.delta_p, limits,
                            m_v=cloud.m_v)
         grid = nadir_grid(cloud, n_per_dim=5)
         fit = fit_pwl(fn, grid, 4, restarts=40, seed=0)
@@ -192,7 +191,7 @@ class TestPwlFit:
     def test_to_json(self, tmp_path, fleet_conv, limits):
         units = small_fleet()
         cloud = enumerate_commitments(units, "out", fleet_conv, limits, 7.0)
-        fn = make_nadir_fn(float(cloud.d[0]), 7.0, cloud.delta_p, limits,
+        fn = make_nadir_fn(cloud.d, 7.0, cloud.delta_p, limits,
                            m_v=cloud.m_v)
         fit = fit_pwl(fn, nadir_grid(cloud, 5), 3, restarts=10)
         path = tmp_path / "fit.json"

@@ -22,8 +22,9 @@ from gridfreq.study import day_instance, prepare_surrogates
 from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               UcModelError, WindFarm, _commitment_patterns,
-                              brute_force_uc, build_model, dump_solution,
-                              load_instance, residual_scale, solve)
+                              _fixed, brute_force_uc, build_model,
+                              dump_solution, load_instance, residual_scale,
+                              solve)
 
 from conftest import make_unit
 
@@ -266,7 +267,6 @@ def test_aggregates_match_definitions():
         for t in range(inst.horizon):
             k = np.array([u.p_max * u.gain_k / s_base * sol.u[i, t]
                           * alpha[s, i, t] for i, u in enumerate(units)])
-            assert np.allclose(sol.k[:, s, t], k)
             assert sol.r_sys[s, t] == pytest.approx(
                 sum(k[i] / units[i].droop for i in range(len(units))))
             assert sol.f_sys[s, t] == pytest.approx(
@@ -297,6 +297,10 @@ def test_validation_errors():
     del inst4.network.demand["n2"]
     with pytest.raises(UcModelError, match="no demand series for node 'n2'"):
         build_model(inst4)
+    inst5 = small_instance(wind=[WindScenario("s1", 1.0, {"w1": [40, 60]})])
+    with pytest.raises(UcModelError, match="wind series of w1 in scenario "
+                       "c0/s1 shorter than horizon 4"):
+        build_model(inst5)
 
 
 def small_bounds_instance():
@@ -316,18 +320,11 @@ def small_bounds_instance():
 def test_brute_force_screen_is_sound(make):
     inst = make()
     built = build_model(inst)
-    m = built.model
-    lb, ub = np.array(m.lb), np.array(m.ub)
-    passed = rejected = 0
-    for cols, vals, passes in _commitment_patterns(built):
-        if passes:
-            passed += 1
-            continue
-        rejected += 1
-        m.lb, m.ub = lb.copy(), ub.copy()
-        m.lb[cols] = m.ub[cols] = vals
-        assert HighsBackend().solve(m, mip_gap=1e-9).status == "infeasible"
-    assert passed and rejected
+    cols, vals, passes = _commitment_patterns(built)
+    assert passes.any() and not passes.all()
+    for v in vals[~passes]:
+        assert HighsBackend().solve(_fixed(built.model, cols, v),
+                                    mip_gap=1e-9).status == "infeasible"
 
     class Counting(HighsBackend):
         # solve runs on brute_force_uc's worker threads
@@ -341,7 +338,7 @@ def test_brute_force_screen_is_sound(make):
 
     backend = Counting()
     brute_force_uc(inst, backend=backend)
-    assert backend.calls == passed
+    assert backend.calls == np.count_nonzero(passes)
 
 
 def _fingerprint(sol):
@@ -375,8 +372,8 @@ def test_brute_force_workers_fix_own_patterns(make, monkeypatch):
     inst = make()
     built = build_model(inst)
     n = built.vars.u.size
-    passing = sorted(vals[:n].tobytes() for _, vals, passes
-                     in _commitment_patterns(built) if passes)
+    _, vals, passes = _commitment_patterns(built)
+    passing = sorted(v[:n].tobytes() for v in vals[passes])
     backend = Recording(built.vars.u.ravel())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
     interval = sys.getswitchinterval()
@@ -401,14 +398,10 @@ def test_brute_force_tie_keeps_first_pattern(n_cpus, monkeypatch):
     built = build_model(inst)
     m = built.model
     m.is_int = [False] * m.n_vars
-    # every pattern fixes the same columns, so each overwrites the last
-    for cols, vals, passes in _commitment_patterns(built):
-        if not passes:
-            continue
-        m.lb[cols] = m.ub[cols] = vals
-        if HighsBackend().solve(m, mip_gap=1e-9).status == "optimal":
-            first = vals[:built.vars.u.size]
-            break
+    cols, vals, passes = _commitment_patterns(built)
+    first = next(v[:built.vars.u.size] for v in vals[passes]
+                 if HighsBackend().solve(_fixed(m, cols, v),
+                                         mip_gap=1e-9).status == "optimal")
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n_cpus)))
     sol = brute_force_uc(inst, backend=Tied())
@@ -479,10 +472,8 @@ def screen_rejected_model():
     """small_bounds with u, y and z fixed to the first pattern the screen
     rejects."""
     built = build_model(small_bounds_instance())
-    cols, vals = next((c, v) for c, v, ok in _commitment_patterns(built)
-                      if not ok)
-    built.model.lb[cols] = built.model.ub[cols] = vals
-    return built.model
+    cols, vals, passes = _commitment_patterns(built)
+    return _fixed(built.model, cols, vals[~passes][0])
 
 
 # (model, solve options, expected status); small_off at a 0.5 gap stops
@@ -586,13 +577,50 @@ def test_start_solves(make, highs, calls, monkeypatch):
     sol = solve(built, mip_gap=1e-9, backend=backend)
     assert sol.status == "optimal"
     assert len(backend.calls) == calls
-    # the completion LP's fixed u bounds are restored
+    # the completion LP fixes u on a copy
     assert np.array_equal(built.model.lb, lb)
     assert np.array_equal(built.model.ub, ub)
     assert ("start" in backend.calls[-1]) == (calls == 3)
     # HiGHS reports its counts on the direct path only
     assert (sol.simplex_iterations is not None) == highs
     assert (sol.mip_node_count is not None) == highs
+
+
+@needs_highs
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+def test_solve_does_not_write_the_model(make):
+    """Every solve ``solve`` takes, the completion LP's included, sees the
+    caller's model with the column bounds it had before."""
+    built = build_model(make())
+    lb, ub = built.model.lb.copy(), built.model.ub.copy()
+
+    class Checking(SpyBackend):
+        def solve(self, model, **kwargs):
+            assert np.array_equal(built.model.lb, lb)
+            assert np.array_equal(built.model.ub, ub)
+            return super().solve(model, **kwargs)
+
+    backend = Checking()
+    assert solve(built, mip_gap=1e-9, backend=backend).status == "optimal"
+    assert len(backend.calls) == 3
+
+
+@needs_highs
+def test_start_shares_the_assembly():
+    """The completion LP's fixed copy and the full run get the one
+    assembly of the day's model; only the reduced MILP has its own."""
+    seen = []
+
+    class Recording(HighsBackend):
+        def solve(self, model, **kwargs):
+            seen.append(model.assembly())
+            return super().solve(model, **kwargs)
+
+    built = build_model(small_instance())
+    solve(built, mip_gap=1e-9, backend=Recording())
+    reduced, completion, full = seen
+    assert completion is full is built.model.assembly()
+    assert reduced is not full
 
 
 @pytest.mark.parametrize("time_limit", [0.0, 60.0])
