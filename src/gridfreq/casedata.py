@@ -85,8 +85,7 @@ def study_system() -> PowerSystem:
                        limits=FrequencyLimits(), t_turbine=7.0)
 
 
-def study_demand(n_days: int = 5, seed: int = STUDY_SEED
-                 ) -> dict[str, list[float]]:
+def study_demand(n_days: int, seed: int) -> dict[str, list[float]]:
     """Nodal demand in MW for ``n_days`` x 24 hours, deterministic."""
     rng = np.random.default_rng(seed)
     day_scale = np.array([1.00, 1.03, 0.97, 1.02, 0.99])[:n_days]
@@ -100,7 +99,7 @@ def study_demand(n_days: int = 5, seed: int = STUDY_SEED
             for node, share in _NODE_SHARE.items()}
 
 
-def study_network(n_days: int = 5, seed: int = STUDY_SEED) -> Network:
+def study_network(n_days: int, seed: int) -> Network:
     lines = [
         Line("n1", "n2", 400.0, 600.0),
         Line("n2", "n3", 400.0, 600.0),
@@ -117,7 +116,7 @@ def study_network(n_days: int = 5, seed: int = STUDY_SEED) -> Network:
                    value_of_lost_load=3000.0, farms=farms)
 
 
-def study_wind_table(n_days: int = 5, seed: int = STUDY_SEED) -> dict:
+def study_wind_table(n_days: int, seed: int) -> dict:
     """Wind realizations, MW: {scenario: {farm: [hour 0 .. 24*n_days-1]}}."""
     rng = np.random.default_rng(seed + 1)
     farms = ["w1", "w2", "w3", "w4"]
@@ -141,8 +140,7 @@ def study_wind_table(n_days: int = 5, seed: int = STUDY_SEED) -> dict:
     return out
 
 
-def write_wind_csv(path: str | Path, n_days: int = 5,
-                   seed: int = STUDY_SEED) -> None:
+def write_wind_csv(path: str | Path, n_days: int, seed: int) -> None:
     table = study_wind_table(n_days, seed)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -155,8 +155,9 @@ def extract_bounds(cloud: CommitmentCloud,
     Every point inside the returned box is safe; among candidate triples
     built from coordinate values present in the cloud, the box admitting
     the most safe points wins, with ties broken by smaller m_lim then
-    smaller r_lim.  The nadir surface is not monotone in r_g, so safety
-    is established by exhaustive verification rather than assumed.
+    smaller r_lim.  The nadir surface is not monotone in r_g, so every
+    candidate box is built to exclude each unsafe point of the cloud
+    rather than from an assumed monotonicity.
 
     Clouds beyond 2^12 points switch to a quantile-binned candidate
     search: the safety guarantee stays exact, only the admitted-safe
@@ -171,60 +172,34 @@ def extract_bounds(cloud: CommitmentCloud,
         return _extract_bounds_binned(cloud)
 
     f, r, m, safe = cloud.f_g, cloud.r_g, cloud.m, cloud.safe
-    f_vals = np.unique(f)
-    r_vals = np.unique(r)
-    m_vals = np.unique(m)
-
-    def next_above(vals: np.ndarray, x: float) -> float | None:
-        idx = np.searchsorted(vals, x, side="right")
-        return None if idx >= len(vals) else float(vals[idx])
-
-    best = None   # (-n_safe, m_lim, r_lim, f_lim)
-    for m_lim in m_vals:
+    f_vals, r_vals = np.unique(f), np.unique(r)
+    corners = []   # (m_lim, f_lim, r_lim, n_safe) per staircase corner
+    for m_lim in np.unique(m):
         region = m >= m_lim
         unsafe = region & ~safe
-        candidates: list[tuple[float, float]] = []
-        if not unsafe.any():
-            candidates.append((float(f_vals[0]), float(r_vals[0])))
-        else:
-            fu, ru = f[unsafe], r[unsafe]
-            # Pareto-maximal unsafe points in (f, r) dominate the rest.
-            order = np.lexsort((-ru, -fu))
-            pf, pr = [], []
-            r_best = -np.inf
-            for idx in order:
-                if ru[idx] > r_best:
-                    pf.append(fu[idx])
-                    pr.append(ru[idx])
-                    r_best = ru[idx]
-            # pf descending, pr ascending along the frontier
-            for j in range(len(pf) + 1):
-                # exclude frontier points j..end by f, points 0..j-1 by r
-                if j < len(pf):
-                    f_lim = next_above(f_vals, pf[j])
-                    if f_lim is None:
-                        continue
-                else:
-                    f_lim = float(f_vals[0])
-                if j > 0:
-                    r_lim = next_above(r_vals, pr[j - 1])
-                    if r_lim is None:
-                        continue
-                else:
-                    r_lim = float(r_vals[0])
-                candidates.append((f_lim, r_lim))
-        for f_lim, r_lim in candidates:
-            box = region & (f >= f_lim) & (r >= r_lim)
-            if np.any(box & ~safe):
-                continue
-            key = (-int(np.count_nonzero(box & safe)), float(m_lim), r_lim)
-            if best is None or key < best[0]:
-                best = (key, NadirBounds(delta_p=cloud.delta_p, f_lim=f_lim,
-                                         r_lim=r_lim, m_lim=float(m_lim)))
-    if best is None:
+        # Pareto-maximal unsafe points in (f, r) dominate the rest; along
+        # the frontier f descends and r ascends
+        order = np.lexsort((-r[unsafe], -f[unsafe]))
+        fu, ru = f[unsafe][order], r[unsafe][order]
+        top = ru > np.r_[-np.inf, np.maximum.accumulate(ru)[:-1]]
+        # corner j excludes frontier points j.. by f and points ..j-1 by r
+        # with the next cloud value above; no value above, no corner
+        fi = np.r_[np.searchsorted(f_vals, fu[top], side="right"), 0]
+        ri = np.r_[0, np.searchsorted(r_vals, ru[top], side="right")]
+        ok = (fi < len(f_vals)) & (ri < len(r_vals))
+        f_lim, r_lim = f_vals[fi[ok]], r_vals[ri[ok]]
+        ins = region & safe
+        n_safe = np.count_nonzero((f[ins] >= f_lim[:, None])
+                                  & (r[ins] >= r_lim[:, None]), axis=1)
+        corners.append((np.full(len(f_lim), m_lim), f_lim, r_lim, n_safe))
+    m_lim, f_lim, r_lim, n_safe = map(np.concatenate, zip(*corners))
+    if len(m_lim) == 0:
         raise LinearizationError(
             "system cannot meet nadir limit: no admissible box")
-    bounds = best[1]
+    # most admitted safe points, then smaller m_lim, then smaller r_lim
+    best = np.lexsort((r_lim, m_lim, -n_safe))[0]
+    bounds = NadirBounds(delta_p=cloud.delta_p, f_lim=float(f_lim[best]),
+                         r_lim=float(r_lim[best]), m_lim=float(m_lim[best]))
     box = admitted(cloud, bounds)
     assert not np.any(box & ~cloud.safe), "admitted an unsafe point"
     return bounds
@@ -379,29 +354,22 @@ def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
     return best_coeffs, math.sqrt(best_obj / n)
 
 
-def nadir_grid(cloud_or_ranges, n_per_dim: int = 4) -> np.ndarray:
-    """Regular (r_g, f_g, m) evaluation grid over given coordinate ranges.
+def nadir_grid(cloud: CommitmentCloud, n_per_dim: int) -> np.ndarray:
+    """Regular (r_g, f_g, m) evaluation grid over the cloud's extent.
 
-    Accepts either a CommitmentCloud (ranges from its safe-relevant
-    extent) or a tuple of three (lo, hi) pairs.
+    Each axis runs from the smallest value among patterns with some
+    inertia online to the largest value in the cloud.
     """
-    if isinstance(cloud_or_ranges, CommitmentCloud):
-        c = cloud_or_ranges
-        pos = c.m > 0
-        ranges = [(float(c.r_g[pos].min()), float(c.r_g.max())),
-                  (float(c.f_g[pos].min()), float(c.f_g.max())),
-                  (float(c.m[pos].min()), float(c.m.max()))]
-    else:
-        ranges = list(cloud_or_ranges)
-    axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in ranges]
+    pos = cloud.m > 0
+    axes = [np.linspace(v[pos].min(), v.max(), n_per_dim)
+            for v in (cloud.r_g, cloud.f_g, cloud.m)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return grid.reshape(-1, 3)
 
 
 def fit_pwl(nadir_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
             grid: np.ndarray, n_segments: int, restarts: int = 20,
-            seed: int = 0,
-            warm_start: PwlFit | None = None) -> PwlFit:
+            seed: int = 0) -> PwlFit:
     """Max-affine fit of the nadir surface over a (r_g, f_g, m) grid.
 
     ``nadir_fn`` must evaluate the nadir at fixed aggregate damping, in
@@ -409,18 +377,15 @@ def fit_pwl(nadir_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     """
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(nadir_fn(grid[:, 0], grid[:, 1], grid[:, 2]), dtype=float)
-    ws = None
-    if warm_start is not None:
-        ws = np.array([[s.a, s.b, s.c, s.d] for s in warm_start.segments])
     coeffs, rmse = fit_max_affine(grid, y, n_segments, restarts=restarts,
-                                  seed=seed, warm_start=ws)
+                                  seed=seed)
     segments = [PwlSegment(a=float(c[0]), b=float(c[1]), c=float(c[2]),
                            d=float(c[3])) for c in coeffs]
     return PwlFit(segments=segments, rmse=rmse)
 
 
 def make_nadir_fn(d: float, t_turbine: float, delta_p: float,
-                  limits: FrequencyLimits, m_v: float = 0.0):
+                  limits: FrequencyLimits, m_v: float):
     """Nadir surface (r_g, f_g, m) -> Hz at fixed damping, for PWL fitting."""
     def fn(r_g, f_g, m):
         return nadir_closed_form(np.asarray(m, dtype=float) + m_v, d,
@@ -430,15 +395,14 @@ def make_nadir_fn(d: float, t_turbine: float, delta_p: float,
 
 def benchmark_linearizations(units: Sequence[SynchronousUnit],
                              outage_unit: str, fleet: ConverterFleet,
-                             limits: FrequencyLimits, t_turbine: float,
-                             segment_counts: tuple[int, int] = (3, 4),
-                             grid_per_dim: int = 8,
-                             restarts: int = 500, seed: int = 0) -> dict:
-    """Wall-clock comparison of bound extraction vs PWL fitting.
+                             limits: FrequencyLimits,
+                             t_turbine: float) -> dict:
+    """Wall-clock comparison of bound extraction vs 3- and 4-segment PWL
+    fits on an 8-per-axis grid.
 
-    The restart budget is sized for stable near-global fits; the fitting
-    objective is nonconvex and the restart count is the knob that buys
-    fit quality.
+    The 500-restart budget is sized for stable near-global fits; the
+    fitting objective is nonconvex and the restart count is the knob that
+    buys fit quality.
     """
     t0 = time.perf_counter()
     cloud = enumerate_commitments(units, outage_unit, fleet, limits,
@@ -448,12 +412,12 @@ def benchmark_linearizations(units: Sequence[SynchronousUnit],
 
     fn = make_nadir_fn(cloud.d, t_turbine, cloud.delta_p, limits,
                        m_v=cloud.m_v)
-    grid = nadir_grid(cloud, n_per_dim=grid_per_dim)
+    grid = nadir_grid(cloud, 8)
     pwl_times = {}
     fits = {}
-    for k in segment_counts:
+    for k in (3, 4):
         t0 = time.perf_counter()
-        fits[k] = fit_pwl(fn, grid, k, restarts=restarts, seed=seed)
+        fits[k] = fit_pwl(fn, grid, k, restarts=500, seed=0)
         pwl_times[k] = time.perf_counter() - t0
     return {"bounds": bounds, "bounds_time_s": t_bounds,
             "pwl_fits": fits, "pwl_times_s": pwl_times,

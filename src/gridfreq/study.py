@@ -159,31 +159,26 @@ def day_instance(template: StudyTemplate, day: int, freq_mode: str,
                       surrogates=surrogates, initial=initial)
 
 
-def _carry_state(units, sol: UcSolution,
-                 run_on: dict, run_off: dict) -> InitialState:
-    """Initial state for the next day from a finished day's solution.
+def _carry_state(units, days: list[DayResult]) -> InitialState:
+    """Initial state for the day after the last of ``days``.
 
-    ``run_on``/``run_off`` accumulate consecutive on/off hours per unit
-    across day boundaries and are updated in place.
+    Each unit's trailing on or off run is counted over the commitments
+    of all ``days``, so it spans day boundaries.
     """
-    T = sol.u.shape[1]
+    u = np.concatenate([d.solution.u for d in days], axis=1)
+    T = u.shape[1]
+    last = u[:, -1]
+    # hours after each unit's last change of state (-1: never changed)
+    run = T - 1 - np.where(u != last[:, None], np.arange(T), -1).max(axis=1)
+    p_last = days[-1].solution.p[:, -1]
     nxt = InitialState()
     for i, unit in enumerate(units):
-        series = sol.u[i]
-        for t in range(T):
-            if series[t]:
-                run_on[unit.id] = run_on.get(unit.id, 0) + 1
-                run_off[unit.id] = 0
-            else:
-                run_off[unit.id] = run_off.get(unit.id, 0) + 1
-                run_on[unit.id] = 0
-        nxt.commitment[unit.id] = int(series[-1])
-        nxt.power[unit.id] = float(sol.p[i, -1])
-        if series[-1]:
-            nxt.min_up_left[unit.id] = max(0, unit.min_up - run_on[unit.id])
+        nxt.commitment[unit.id] = int(last[i])
+        nxt.power[unit.id] = float(p_last[i])
+        if last[i]:
+            nxt.min_up_left[unit.id] = max(0, unit.min_up - int(run[i]))
         else:
-            nxt.min_down_left[unit.id] = max(0, unit.min_down
-                                             - run_off[unit.id])
+            nxt.min_down_left[unit.id] = max(0, unit.min_down - int(run[i]))
     return nxt
 
 
@@ -213,7 +208,6 @@ def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
 
 
 def run_study(template: StudyTemplate, config: StudyConfig,
-              surrogates: dict | None = None,
               prefix: StudyResult | None = None) -> StudyResult:
     """Sequential daily solves with carryover; freq rows from fc_start_day.
 
@@ -226,7 +220,8 @@ def run_study(template: StudyTemplate, config: StudyConfig,
             != template.contingency.contingency_hour):
         raise StudyError(
             "template contingency hour does not match the study config")
-    if surrogates is None and config.freq_mode != "off":
+    surrogates = None
+    if config.freq_mode != "off":
         surrogates = prepare_surrogates(
             template.units, template.fleet, template.limits,
             template.t_turbine, template.contingency.credible_outages,
@@ -234,8 +229,6 @@ def run_study(template: StudyTemplate, config: StudyConfig,
 
     days: list[DayResult] = []
     state = template.initial
-    run_on: dict[str, int] = {}
-    run_off: dict[str, int] = {}
     first_day = 1
     if prefix is not None and config.freq_mode != "off":
         n_shared = min(config.fc_start_day - 1, len(prefix.days))
@@ -243,8 +236,8 @@ def run_study(template: StudyTemplate, config: StudyConfig,
             if d.freq_mode != "off":
                 raise StudyError("prefix days must be unconstrained")
             days.append(d)
-            state = _carry_state(template.units, d.solution, run_on,
-                                 run_off)
+        if days:
+            state = _carry_state(template.units, days)
         first_day = n_shared + 1
     for day in range(first_day, config.n_days + 1):
         mode = ("off" if config.freq_mode == "off"
@@ -259,7 +252,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
             _assert_cloud_membership(inst, sol)
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,
                               solution=sol))
-        state = _carry_state(template.units, sol, run_on, run_off)
+        state = _carry_state(template.units, days)
     result = StudyResult(config=config, template=template, days=days)
     if config.out_dir is not None:
         for d in days:

@@ -742,31 +742,36 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
 # ---------------------------------------------------------------------------
 # instance file IO and solution dumps
 
-def instance_from_dict(data: dict, base_dir: Path | None = None,
-                       freq_mode: str | None = None) -> UcInstance:
-    base_dir = base_dir or Path(".")
+def load_instance(path: str | Path,
+                  freq_mode: str | None = None) -> UcInstance:
+    path = Path(path)
+    with open(path) as fh:
+        data = json.load(fh)
 
     def resolve(name):
-        path = Path(data[name])
-        return path if path.is_absolute() else base_dir / path
+        ref = Path(data[name])
+        return ref if ref.is_absolute() else path.parent / ref
 
-    if "system_file" in data:
-        system = load_system(resolve("system_file"))
-    else:
-        system = system_from_dict(data["system"])
-    netd = data["network"]
-    network = Network(
-        nodes=list(netd["nodes"]),
-        lines=[Line(ln["from"], ln["to"], float(ln["susceptance"]),
-                    float(ln["capacity"])) for ln in netd["lines"]],
-        demand={n: [float(v) for v in series]
-                for n, series in netd["demand"].items()},
-        value_of_lost_load=float(netd["value_of_lost_load"]),
-        farms=[WindFarm(f["id"], f["bus"], float(f["capacity"]))
-               for f in netd.get("farms", [])],
-    )
-    horizon = int(data.get("horizon", 24))
-    wind = ingest_wind(resolve("wind_csv"))
+    try:
+        if "system_file" in data:
+            system = load_system(resolve("system_file"))
+        else:
+            system = system_from_dict(data["system"])
+        netd = data["network"]
+        network = Network(
+            nodes=list(netd["nodes"]),
+            lines=[Line(ln["from"], ln["to"], float(ln["susceptance"]),
+                        float(ln["capacity"])) for ln in netd["lines"]],
+            demand={n: [float(v) for v in series]
+                    for n, series in netd["demand"].items()},
+            value_of_lost_load=float(netd["value_of_lost_load"]),
+            farms=[WindFarm(f["id"], f["bus"], float(f["capacity"]))
+                   for f in netd.get("farms", [])],
+        )
+        horizon = int(data.get("horizon", 24))
+        wind = ingest_wind(resolve("wind_csv"))
+    except KeyError as exc:
+        raise UcModelError(f"{path}: missing key {exc}") from None
     cont = data.get("contingency", {})
     model = ContingencyModel(
         credible_outages=list(cont.get("credible_outages", [])),
@@ -775,22 +780,12 @@ def instance_from_dict(data: dict, base_dir: Path | None = None,
         tau=float(cont.get("tau", 1.0)),
     )
     tree = build_tree(wind, model, system.units, system.s_base, horizon)
-    instance = UcInstance(
+    return UcInstance(
         network=network, units=system.units, fleet=system.fleet,
         tree=tree, limits=system.limits, horizon=horizon,
         t_turbine=system.t_turbine,
         freq_mode=freq_mode or data.get("freq_mode", "off"),
     )
-    return instance
-
-
-def load_instance(path: str | Path,
-                  freq_mode: str | None = None) -> UcInstance:
-    path = Path(path)
-    with open(path) as fh:
-        data = json.load(fh)
-    return instance_from_dict(data, base_dir=path.parent,
-                              freq_mode=freq_mode)
 
 
 def dump_solution(sol: UcSolution, instance: UcInstance,

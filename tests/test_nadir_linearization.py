@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import aggregate_params, fleet_damping, \
     frequency_metrics
 from gridfreq.nadir_linearization import (LinearizationError, NadirBounds,
@@ -135,6 +136,47 @@ class TestBoundExtraction:
         assert again == bounds
 
 
+def test_exact_bounds_frozen(limits):
+    """(delta_p, f_lim, r_lim, m_lim) as float.hex, computed with the
+    loop-based exact search this array code replaced."""
+    t = study_template(1)
+    clouds = {
+        "small/out": enumerate_commitments(
+            small_fleet(), "out",
+            ConverterFleet(vsm_capacity=100.0, droop_capacity=50.0),
+            limits, 7.0),
+        # criterion 4's cloud
+        "c4/u1": enumerate_commitments(
+            synthetic_fleet(12), "u1",
+            ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0),
+            limits, 7.0),
+        **{f"study/{uid}": enumerate_commitments(t.units, uid, t.fleet,
+                                                 t.limits, t.t_turbine)
+           for uid in t.contingency.credible_outages},
+    }
+    expected = {
+        "small/out": ("0x1.e6a74981446f8p-5", "0x1.16cfd7720f354p+2",
+                      "0x0.0p+0", "0x0.0p+0"),
+        "c4/u1": ("0x1.5ed163b9d8481p-4", "0x1.8bbb33d284c75p+2",
+                  "0x1.5ecbf27f2675fp+4", "0x0.0p+0"),
+        "study/G5": ("0x1.1745d1745d174p-4", "0x0.0p+0",
+                     "0x1.3d55555555555p+4", "0x0.0p+0"),
+        "study/G6": ("0x1.bed61bed61bedp-5", "0x1.7e8ba2e8ba2e9p+1",
+                     "0x0.0p+0", "0x0.0p+0"),
+        "study/G7": ("0x1.745d1745d1746p-5", "0x1.1e8ba2e8ba2e9p+1",
+                     "0x0.0p+0", "0x0.0p+0"),
+        "study/G8": ("0x1.29e4129e4129ep-5", "0x1.a0f83e0f83e10p+0",
+                     "0x0.0p+0", "0x0.0p+0"),
+    }
+    got = {}
+    for name, cloud in clouds.items():
+        assert len(cloud) <= 1 << 12   # the exact search, not the binned
+        b = extract_bounds(cloud, limits)
+        got[name] = (b.delta_p.hex(), b.f_lim.hex(), b.r_lim.hex(),
+                     b.m_lim.hex())
+    assert got == expected
+
+
 class TestMaxAffine:
     def test_absolute_value_exact(self):
         x = np.linspace(-1.0, 1.0, 41)
@@ -181,12 +223,6 @@ class TestPwlFit:
         truth = fn(grid[:, 0], grid[:, 1], grid[:, 2])
         assert np.sqrt(np.mean((vals - truth) ** 2)) == pytest.approx(
             fit.rmse, rel=1e-9)
-
-    def test_grid_from_ranges(self):
-        grid = nadir_grid([(1.0, 2.0), (0.5, 1.0), (3.0, 4.0)],
-                          n_per_dim=3)
-        assert grid.shape == (27, 3)
-        assert grid[:, 0].min() == 1.0 and grid[:, 0].max() == 2.0
 
     def test_to_json(self, tmp_path, fleet_conv, limits):
         units = small_fleet()

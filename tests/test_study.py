@@ -108,16 +108,17 @@ class TestRolling:
 
     def test_carry_state_accumulates_across_days(self):
         units = [make_unit(uid="a", min_up=5, min_down=4)]
-        run_on, run_off = {}, {}
-        day1 = SimpleNamespace(u=np.array([[0, 0, 1, 1]]),
-                               p=np.array([[0.0, 0.0, 60.0, 80.0]]))
-        st = _carry_state(units, day1, run_on, run_off)
+        day1 = SimpleNamespace(solution=SimpleNamespace(
+            u=np.array([[0, 0, 1, 1]]),
+            p=np.array([[0.0, 0.0, 60.0, 80.0]])))
+        st = _carry_state(units, [day1])
         assert st.commitment["a"] == 1
         assert st.power["a"] == 80.0
         assert st.min_up_left["a"] == 3       # 2 hours served out of 5
-        day2 = SimpleNamespace(u=np.array([[1, 1, 1, 0]]),
-                               p=np.array([[80.0, 80.0, 60.0, 0.0]]))
-        st = _carry_state(units, day2, run_on, run_off)
+        day2 = SimpleNamespace(solution=SimpleNamespace(
+            u=np.array([[1, 1, 1, 0]]),
+            p=np.array([[80.0, 80.0, 60.0, 0.0]])))
+        st = _carry_state(units, [day1, day2])
         assert st.commitment["a"] == 0
         assert st.min_down_left["a"] == 3     # 1 hour off out of 4
 
