@@ -20,9 +20,6 @@ except ImportError:
     _highs = None
 
 INF = float("inf")
-# HiGHS's sub-MIP (RENS, RINS) and reduced-cost heuristics at the root
-_ROOT_HEURISTICS = ("mip_heuristic_run_rens", "mip_heuristic_run_rins",
-                    "mip_heuristic_run_root_reduced_cost")
 
 
 @dataclass
@@ -145,24 +142,20 @@ class HighsBackend:
     name = "highs"
 
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
-              time_limit: float = 600.0, start: np.ndarray | None = None,
-              skip_root_heuristics: bool = False) -> SolveResult:
-        """Solve ``model``.
+              time_limit: float = 600.0,
+              start: np.ndarray | None = None) -> SolveResult:
+        """Solve ``model`` with HiGHS's default options.
 
         ``start`` is a full column vector HiGHS tries as its first
-        incumbent. ``skip_root_heuristics`` turns off HiGHS's root RENS,
-        RINS and reduced-cost heuristics, which look for a better
-        incumbent than the one it has. ``milp`` takes neither.
+        incumbent; ``milp`` takes none.
         """
         if _highs is None:
             return _solve_milp(model, mip_gap, time_limit)
-        return _solve_direct(model, mip_gap, time_limit, start,
-                             skip_root_heuristics)
+        return _solve_direct(model, mip_gap, time_limit, start)
 
 
 def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
-                  start: np.ndarray | None,
-                  skip_root_heuristics: bool) -> SolveResult:
+                  start: np.ndarray | None) -> SolveResult:
     """One HiGHS run on the arrays and options ``milp`` would pass.
 
     HiGHS checks ``start`` and drops it when it breaks a bound, a row or
@@ -185,9 +178,6 @@ def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
         point.col_value = start
         point.value_valid = True
         h.setSolution(point)
-    if skip_root_heuristics:
-        for name in _ROOT_HEURISTICS:
-            h.setOptionValue(name, False)
     ran = h.run() != _highs.HighsStatus.kError
     status = h.getModelStatus()
     info = h.getInfo()

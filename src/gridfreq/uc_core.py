@@ -29,8 +29,7 @@ import numpy as np
 from .freq_dynamics import frequency_weights
 from .nadir_linearization import NadirBounds, PwlFit
 from . import solver
-from .scenarios import (ContingencyModel, Scenario, ScenarioTree, build_tree,
-                        ingest_wind)
+from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
 from .solver import INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
                      SynchronousUnit, load_system, s_base,
@@ -223,8 +222,9 @@ class UcSolution:
     m_sys: np.ndarray | None = None   # (S, T) synchronous inertia
     cost_breakdown: dict | None = None
     max_residual: float | None = None
-    # HiGHS's counts for the full run (None through milp), and the simplex
-    # iterations its start cost: the reduced MILP plus the completion LP
+    # HiGHS's counts for the full run (None through milp), or the proof's
+    # bound and 0 nodes and iterations for a day proven without one; and
+    # the simplex iterations of the reduced MILP plus the completion LP
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
     simplex_iterations: int | None = None
@@ -508,9 +508,13 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
     """Optimize a built model and extract the solution with diagnostics.
 
     When the scenario tree has outage branches and the backend takes a
-    start, the run starts from the complete point ``_start_point``
-    builds. Every solve this takes gets what is left of ``time_limit``,
-    and none writes ``built``.
+    start, ``_start_point`` first gives a complete point of the day and
+    its gap to a proven lower bound. A point within ``mip_gap`` is
+    returned as ``optimal`` with no full run: it records the bound as
+    ``mip_dual_bound``, the proven gap as ``mip_gap``, and 0 nodes and
+    simplex iterations. Otherwise the full MILP runs from the point.
+    Every solve this takes gets what is left of ``time_limit``, and none
+    writes ``built``.
     """
     backend = backend or get_backend()
     t0 = time.perf_counter()
@@ -518,14 +522,16 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
     def left() -> float:
         return max(0.0, time_limit - (time.perf_counter() - t0))
 
-    start_args, start_iterations = {}, None
+    point, start_iterations = None, None
     if (_takes_start(backend)
             and any(s.outage_unit is not None
                     for s in built.instance.tree.scenarios)):
-        start_args, start_iterations = _start_point(built, mip_gap, left,
-                                                    backend)
-    res = backend.solve(built.model, mip_gap=mip_gap, time_limit=left(),
-                        **start_args)
+        point, start_iterations = _start_point(built, mip_gap, left, backend)
+    if point is not None and point.mip_gap <= mip_gap:
+        res = point
+    else:
+        res = backend.solve(built.model, mip_gap=mip_gap, time_limit=left(),
+                            **({} if point is None else {"start": point.x}))
     sol = _extract(built, res)
     sol.start_iterations = start_iterations
     return sol
@@ -533,32 +539,24 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
 
 def _takes_start(backend) -> bool:
     """Whether ``backend.solve`` can use a start: HiGHS is called directly
-    (``milp`` takes none), and ``solve`` accepts the ``start`` and
-    ``skip_root_heuristics`` keywords, by name or through ``**kwargs``.
-    ``inspect.signature`` sees through a ``functools.wraps`` wrapper, so a
-    tracing wrapper around ``HighsBackend.solve`` still gets the start."""
+    (``milp`` takes none), and ``solve`` accepts the ``start`` keyword, by
+    name or through ``**kwargs``. ``inspect.signature`` sees through a
+    ``functools.wraps`` wrapper, so a tracing wrapper around
+    ``HighsBackend.solve`` still gets the start."""
     if solver._highs is None:
         return False
     params = inspect.signature(backend.solve).parameters.values()
-    return any(p.kind is p.VAR_KEYWORD for p in params) or {
-        "start", "skip_root_heuristics"} <= {p.name for p in params}
+    return any(p.kind is p.VAR_KEYWORD or p.name == "start" for p in params)
 
 
-def _mean_wind_tree(instance: UcInstance) -> ScenarioTree:
-    """One scenario with no outage, whose wind is the probability-weighted
-    mean of the tree's no-outage realizations."""
-    tree, T = instance.tree, instance.horizon
-    base = [s for s in tree.scenarios if s.outage_unit is None]
-    pi = np.array([s.probability for s in base])
-    wind = {farm.id: (pi @ np.array([s.realization[farm.id][:T]
-                                     for s in base]) / pi.sum()).tolist()
-            for farm in instance.network.farms}
-    return ScenarioTree(
-        scenarios=[Scenario("c0/mean", float(pi.sum()), "mean", None, wind)],
-        horizon=T, unit_ids=tree.unit_ids,
-        contingency_hour=tree.contingency_hour,
-        availability=np.ones((1, len(tree.unit_ids), T), dtype=np.int8),
-        outage_size=np.zeros((1, T)))
+def _no_outage_tree(tree: ScenarioTree) -> ScenarioTree:
+    """``tree``'s no-outage scenarios: every wind path, at its own wind and
+    its probability in ``tree``, not renormalised."""
+    keep = [s for s, scen in enumerate(tree.scenarios)
+            if scen.outage_unit is None]
+    return replace(tree, scenarios=[tree.scenarios[s] for s in keep],
+                   availability=tree.availability[keep],
+                   outage_size=tree.outage_size[keep])
 
 
 def _fixed(model: SolverModel, cols, vals) -> SolverModel:
@@ -573,33 +571,30 @@ def _fixed(model: SolverModel, cols, vals) -> SolverModel:
 
 
 def _start_point(built: BuiltModel, mip_gap: float, left,
-                 backend) -> tuple[dict, int | None]:
-    """A complete feasible point of ``built`` from its reduced problem.
+                 backend) -> tuple[SolveResult | None, int | None]:
+    """A complete feasible point of ``built`` and its proven gap.
 
-    The reduced problem is the day on ``_mean_wind_tree`` plus the full
-    tree's frequency rows, which read only u. Its rounded u, fixed in a
-    ``_fixed`` copy of the full model, leaves an LP whose solution is the
-    point; ``built.model`` is not written, and keeps the assembly the copy
-    shares for the full run.
+    The reduced problem is the day on ``_no_outage_tree`` plus the full
+    tree's frequency rows, which read only u. It keeps the full day's
+    first stage and costs, and drops the outage branches' rows. Those
+    branches have no non-anticipativity rows, so the reduced MILP's dual
+    bound plus each outage-branch recourse column's cost at its cheaper
+    bound is a lower bound on the full day; down reserve's negative cost
+    makes that term negative.
 
-    Wind enters the recourse LPs on the right-hand side, so by Jensen's
-    inequality recourse at the mean wind costs no more than the expected
-    recourse. The reduced MILP's dual bound is still only an approximate
-    bound on the full day's optimum: the dropped outage branches carry a
-    small weight, and their recourse can cost less than nothing, as
-    down reserve has a negative cost. A start within ``mip_gap`` of that
-    bound is taken to meet the gap already, so the full run skips the
-    root heuristics, which look for a better incumbent; on paired study
-    days they used most of a started run's simplex iterations and never
-    improved the start.
+    The reduced MILP's rounded u, fixed in a ``_fixed`` copy of the full
+    model, leaves an LP whose solution is the point; ``built.model`` is
+    not written, and keeps the assembly the copy shares for a full run.
 
-    Returns the ``start`` and ``skip_root_heuristics`` keywords of the
-    full solve, none when either solve finds no point, and the simplex
-    iterations of both solves. ``left()`` gives each solve its time
-    limit.
+    Returns the point as the result of a day with no full run: the bound
+    as ``mip_dual_bound``, the gap to it relative to the point's objective
+    (to 1 when that is 0) as ``mip_gap``, inf with no dual bound
+    (``milp``), and 0 nodes and simplex iterations; None when either
+    solve finds no point. Also returns the simplex iterations of both
+    solves. ``left()`` gives each solve its time limit.
     """
-    inst = built.instance
-    reduced = build_model(replace(inst, tree=_mean_wind_tree(inst),
+    inst, m, vm = built.instance, built.model, built.vars
+    reduced = build_model(replace(inst, tree=_no_outage_tree(inst.tree),
                                   freq_mode="off"))
     if inst.freq_mode != "off":
         _add_frequency_rows(reduced.model, reduced.vars, inst)
@@ -607,14 +602,24 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     bound, counts = res.mip_dual_bound, [res.simplex_iterations]
     if res.has_solution:
         u = np.rint(res.x[reduced.vars.u.ravel()])
-        res = backend.solve(_fixed(built.model, built.vars.u.ravel(), u),
-                            mip_gap=mip_gap, time_limit=left())
+        res = backend.solve(_fixed(m, vm.u.ravel(), u), mip_gap=mip_gap,
+                            time_limit=left())
         counts.append(res.simplex_iterations)
     iterations = None if None in counts else sum(counts)
     if res.status != "optimal":
-        return {}, iterations
-    skip = res.objective - bound <= mip_gap * abs(res.objective)
-    return {"start": res.x, "skip_root_heuristics": skip}, iterations
+        return None, iterations
+    gap = INF
+    if bound is not None:
+        out = [s for s, scen in enumerate(inst.tree.scenarios)
+               if scen.outage_unit is not None]
+        cols = np.concatenate([v[:, out].ravel() for v in (
+            vm.r_up, vm.r_dn, vm.spill, vm.shed, vm.delta_rt)])
+        cols = cols[m.c[cols] != 0]     # 0 * inf is nan
+        c = m.c[cols]
+        bound += float(np.minimum(c * m.lb[cols], c * m.ub[cols]).sum())
+        gap = (res.objective - bound) / abs(res.objective or 1.0)
+    return replace(res, mip_gap=gap, mip_dual_bound=bound, mip_node_count=0,
+                   simplex_iterations=0), iterations
 
 
 def residual_scale(instance: UcInstance) -> float:
@@ -752,11 +757,11 @@ def load_instance(path: str | Path,
         ref = Path(data[name])
         return ref if ref.is_absolute() else path.parent / ref
 
+    # the files named here raise their own errors when read below
     try:
-        if "system_file" in data:
-            system = load_system(resolve("system_file"))
-        else:
-            system = system_from_dict(data["system"])
+        system_file = resolve("system_file") if "system_file" in data else None
+        system_data = None if system_file else data["system"]
+        wind_csv = resolve("wind_csv")
         netd = data["network"]
         network = Network(
             nodes=list(netd["nodes"]),
@@ -769,17 +774,21 @@ def load_instance(path: str | Path,
                    for f in netd.get("farms", [])],
         )
         horizon = int(data.get("horizon", 24))
-        wind = ingest_wind(resolve("wind_csv"))
+        cont = data.get("contingency", {})
+        model = ContingencyModel(
+            credible_outages=list(cont.get("credible_outages", [])),
+            contingency_hour=int(cont.get("contingency_hour", 1)) - 1,
+            lam=1.0 / float(cont.get("mttf", 1000.0)),
+            tau=float(cont.get("tau", 1.0)),
+        )
     except KeyError as exc:
         raise UcModelError(f"{path}: missing key {exc}") from None
-    cont = data.get("contingency", {})
-    model = ContingencyModel(
-        credible_outages=list(cont.get("credible_outages", [])),
-        contingency_hour=int(cont.get("contingency_hour", 1)) - 1,
-        lam=1.0 / float(cont.get("mttf", 1000.0)),
-        tau=float(cont.get("tau", 1.0)),
-    )
-    tree = build_tree(wind, model, system.units, system.s_base, horizon)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UcModelError(f"{path}: malformed instance: {exc}") from None
+    system = (load_system(system_file) if system_file
+              else system_from_dict(system_data))
+    tree = build_tree(ingest_wind(wind_csv), model, system.units,
+                      system.s_base, horizon)
     return UcInstance(
         network=network, units=system.units, fleet=system.fleet,
         tree=tree, limits=system.limits, horizon=horizon,

@@ -30,7 +30,7 @@ from gridfreq.uc_core import (brute_force_uc, build_model, dump_solution,
 
 import conftest
 from conftest import synthetic_fleet
-from test_uc_core import small_instance, two_units
+from test_uc_core import criterion_6_instances, small_instance
 
 
 def _verdict(n: int, ok: bool, detail: str = "") -> None:
@@ -148,59 +148,8 @@ def test_criterion_5_surrogate_runtime_ordering():
 
 
 def test_criterion_6_milp_matches_brute_force():
-    from gridfreq.freq_dynamics import fleet_damping
-    from gridfreq.scenarios import WindScenario
-    from gridfreq.uc_core import InitialState
-
     t0 = time.perf_counter()
-    instances = []
-    # horizon-4 two-unit base case with an outage branch
-    instances.append(small_instance())
-    # single wind path, no contingency
-    instances.append(small_instance(
-        wind=[WindScenario("s1", 1.0, {"w1": [40.0, 60.0, 50.0, 30.0]})],
-        contingency=False))
-    # carried-over obligations force the second unit on
-    instances.append(small_instance(
-        initial=InitialState(commitment={"g1": 1, "g2": 1},
-                             power={"g1": 100.0, "g2": 50.0},
-                             min_up_left={"g2": 3})))
-    # doubled costs keep the commitment pattern, scale the objective
-    units = two_units()
-    for u in units:
-        u.cost_energy *= 2.0
-        u.cost_startup *= 2.0
-    instances.append(small_instance(units=units))
-
-    # three units over three hours in each frequency mode
-    from conftest import make_unit
-    units3 = two_units() + [
-        make_unit(uid="g3", bus="n2", p_max=30.0, p_min=10.0,
-                  cost_energy=55.0, cost_startup=150.0, inertia_h=4.5,
-                  gain_k=0.98, turbine_fraction=0.25, droop=0.04)]
-    fleet = ConverterFleet(vsm_capacity=80.0, droop_capacity=40.0)
-    limits = FrequencyLimits()
-    cloud = enumerate_commitments(units3, "g3", fleet, limits, 7.0)
-    bounds = {"g3": extract_bounds(cloud, limits)}
-    s_base = sum(u.p_max for u in units3) + 120.0
-    fn = make_nadir_fn(fleet_damping(units3, fleet, s_base), 7.0,
-                       cloud.delta_p, limits, m_v=cloud.m_v)
-    fits = {"g3": fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=50)}
-    from test_uc_core import two_bus_network
-    from gridfreq.uc_core import UcInstance
-    from gridfreq.scenarios import build_tree
-    net3 = two_bus_network(3, cap=250.0)
-    wind3 = [WindScenario("s1", 1.0, {"w1": [40.0, 60.0, 50.0]})]
-    cm3 = ContingencyModel(credible_outages=["g3"], contingency_hour=1,
-                           lam=1e-3)
-    tree3 = build_tree(wind3, cm3, units3, s_base, 3)
-    for mode, kw in (("bounds", {"surrogates": bounds}),
-                     ("pwl", {"surrogates": fits})):
-        instances.append(UcInstance(
-            network=net3, units=units3, fleet=fleet, tree=tree3,
-            limits=limits, horizon=3, freq_mode=mode,
-            initial=InitialState(commitment={"g1": 1},
-                                 power={"g1": 100.0}), **kw))
+    instances = criterion_6_instances()
     assert all(len(i.units) * i.horizon <= 16 for i in instances)
 
     n_checked = 0

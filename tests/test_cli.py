@@ -79,14 +79,20 @@ class TestExitCodes:
         no_demand.write_text(json.dumps(inst))
         assert main(["solve", "--config", str(no_demand),
                      "--out", str(tmp_path / "x")]) == 1
+        inst["network"]["demand"] = []
+        list_demand = case_dir / "list_demand.json"
+        list_demand.write_text(json.dumps(inst))
+        assert main(["solve", "--config", str(list_demand),
+                     "--out", str(tmp_path / "x")]) == 1
         del inst["network"]
         no_network = case_dir / "no_network.json"
         no_network.write_text(json.dumps(inst))
         assert main(["solve", "--config", str(no_network),
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 4
+        assert err.count("error:") == 5
         assert "error: no demand series for node 'n2'" in err
+        assert "list_demand.json: malformed instance:" in err
         assert "no_network.json: missing key 'network'" in err
 
 

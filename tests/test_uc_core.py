@@ -531,7 +531,7 @@ class SpyBackend(HighsBackend):
 
 def no_start(monkeypatch):
     monkeypatch.setattr(uc_core, "_start_point",
-                        lambda *args, **kwargs: ({}, None))
+                        lambda *args, **kwargs: (None, None))
 
 
 @needs_highs
@@ -644,35 +644,27 @@ def test_infeasible_start_is_ignored():
 
 
 @needs_highs
-@pytest.mark.parametrize("skip", [True, False])
-def test_skip_root_heuristics(skip, monkeypatch):
-    m = model_of(small_instance)
-    best = HighsBackend().solve(m, mip_gap=1e-9)
-    options = {}
-
-    class Recording(solver._highs._Highs):
-        def setOptionValue(self, name, value):
-            options[name] = value
-            return super().setOptionValue(name, value)
-
-    monkeypatch.setattr(solver._highs, "_Highs", Recording)
-    res = HighsBackend().solve(m, mip_gap=1e-4, start=best.x,
-                               skip_root_heuristics=skip)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(best.objective, rel=1e-4)
-    off = {name for name, value in options.items() if value is False}
-    assert off == ({"log_to_console"} | set(solver._ROOT_HEURISTICS)
-                   if skip else {"log_to_console"})
-
-
-@needs_highs
-@pytest.mark.parametrize("mip_gap, skip", [(1e-9, False), (0.9, True)])
-def test_start_near_the_reduced_bound_skips_root_heuristics(mip_gap, skip):
-    """The start (47,970, with load shed after the outage) is 79% above
-    the mean-wind day's bound (9,859): outside a 1e-9 gap, inside 0.9."""
+@pytest.mark.parametrize("make, mip_gap, calls", [
+    (small_bounds_instance, 1e-2, 2), (small_instance, 1e-9, 3)],
+    ids=["proven", "full_run"])
+def test_proof_or_full_run(make, mip_gap, calls):
+    """A point within the gap of the proof's bound is returned with no
+    full run; otherwise the full MILP runs from it. small_bounds' point
+    (8,664.9) is 0.9% above its bound, small's (11,557.2) 3.1%."""
     backend = SpyBackend()
-    solve(build_model(small_instance()), mip_gap=mip_gap, backend=backend)
-    assert backend.calls[-1]["skip_root_heuristics"] == skip
+    inst = make()
+    sol = solve(build_model(inst), mip_gap=mip_gap, backend=backend)
+    assert sol.status == "optimal"
+    assert len(backend.calls) == calls
+    assert ("start" in backend.calls[-1]) == (calls == 3)
+    assert sol.max_residual <= 1e-6 * residual_scale(inst)
+    assert sol.mip_gap <= mip_gap
+    assert sol.mip_dual_bound <= sol.objective
+    assert sol.start_iterations > 0
+    if calls == 2:
+        assert sol.mip_node_count == sol.simplex_iterations == 0
+        assert sol.mip_gap == pytest.approx(
+            (sol.objective - sol.mip_dual_bound) / sol.objective)
 
 
 class OldSignature:
@@ -699,7 +691,7 @@ class Wrapped:
 @pytest.mark.parametrize("backend, calls", [
     (OldSignature, 1), (Wrapped, 3)], ids=["old_signature", "wrapped"])
 def test_start_needs_a_start_keyword(backend, calls, monkeypatch):
-    """Only a solve that accepts the start keywords gets the start and
+    """Only a solve that accepts the start keyword gets the start and
     the two solves that build it."""
     backend = backend()
     seen = []
@@ -717,20 +709,92 @@ def test_start_needs_a_start_keyword(backend, calls, monkeypatch):
     assert ("start" in seen[-1]) == (calls == 3)
 
 
-def test_mean_wind_tree():
+def test_no_outage_tree():
     inst = small_instance()
-    tree = uc_core._mean_wind_tree(inst)
+    tree = uc_core._no_outage_tree(inst.tree)
     no_outage = [s for s in inst.tree.scenarios if s.outage_unit is None]
-    (mean,) = tree.scenarios
-    assert mean.outage_unit is None
-    # the two wind scenarios are equally likely
-    assert mean.realization["w1"] == pytest.approx([30.0, 35.0, 32.5, 27.5])
-    assert mean.probability == pytest.approx(
-        sum(s.probability for s in no_outage))
-    assert mean.probability < 1.0
-    assert tree.availability.shape == (1, 2, inst.horizon)
+    assert tree.scenarios == no_outage
+    assert [s.wind_id for s in tree.scenarios] == ["s1", "s2"]
+    # the full tree's probabilities, not renormalised
+    assert sum(s.probability for s in tree.scenarios) < 1.0
+    assert tree.availability.shape == (2, 2, inst.horizon)
     assert tree.availability.all()
     assert not tree.outage_size.any()
+    assert (tree.horizon, tree.unit_ids) == (inst.horizon, ["g1", "g2"])
+
+
+def criterion_6_instances():
+    """The small instances criterion 6 solves both ways: two units over
+    four hours, and three units over three hours in each frequency
+    mode."""
+    instances = []
+    # horizon-4 two-unit base case with an outage branch
+    instances.append(small_instance())
+    # single wind path, no contingency
+    instances.append(small_instance(
+        wind=[WindScenario("s1", 1.0, {"w1": [40.0, 60.0, 50.0, 30.0]})],
+        contingency=False))
+    # carried-over obligations force the second unit on
+    instances.append(small_instance(
+        initial=InitialState(commitment={"g1": 1, "g2": 1},
+                             power={"g1": 100.0, "g2": 50.0},
+                             min_up_left={"g2": 3})))
+    # doubled costs keep the commitment pattern, scale the objective
+    units = two_units()
+    for u in units:
+        u.cost_energy *= 2.0
+        u.cost_startup *= 2.0
+    instances.append(small_instance(units=units))
+
+    # three units over three hours in each frequency mode
+    units3 = two_units() + [
+        make_unit(uid="g3", bus="n2", p_max=30.0, p_min=10.0,
+                  cost_energy=55.0, cost_startup=150.0, inertia_h=4.5,
+                  gain_k=0.98, turbine_fraction=0.25, droop=0.04)]
+    fleet = ConverterFleet(vsm_capacity=80.0, droop_capacity=40.0)
+    limits = FrequencyLimits()
+    cloud = enumerate_commitments(units3, "g3", fleet, limits, 7.0)
+    bounds = {"g3": extract_bounds(cloud, limits)}
+    s_base = sum(u.p_max for u in units3) + 120.0
+    fn = make_nadir_fn(fleet_damping(units3, fleet, s_base), 7.0,
+                       cloud.delta_p, limits, m_v=cloud.m_v)
+    fits = {"g3": fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=50)}
+    net3 = two_bus_network(3, cap=250.0)
+    wind3 = [WindScenario("s1", 1.0, {"w1": [40.0, 60.0, 50.0]})]
+    cm3 = ContingencyModel(credible_outages=["g3"], contingency_hour=1,
+                           lam=1e-3)
+    tree3 = build_tree(wind3, cm3, units3, s_base, 3)
+    for mode, kw in (("bounds", {"surrogates": bounds}),
+                     ("pwl", {"surrogates": fits})):
+        instances.append(UcInstance(
+            network=net3, units=units3, fleet=fleet, tree=tree3,
+            limits=limits, horizon=3, freq_mode=mode,
+            initial=InitialState(commitment={"g1": 1},
+                                 power={"g1": 100.0}), **kw))
+    return instances
+
+
+def down_reserve_instance():
+    """One wind path, with g1 paid more for down reserve than its energy
+    costs: every branch books down reserve, so the outage branch's
+    recourse costs less than nothing."""
+    units = two_units()
+    units[0].cost_res_down = 25.0
+    return small_instance(units=units, wind=[
+        WindScenario("s1", 1.0, {"w1": [40.0, 60.0, 50.0, 30.0]})])
+
+
+@needs_highs
+def test_proof_bound_is_below_brute_force():
+    """The proof's bound never exceeds the optimum. On
+    down_reserve_instance the no-outage day's dual bound alone is 3.3
+    above it; the outage branch's recourse term (-6.1) brings it below."""
+    for inst in criterion_6_instances() + [down_reserve_instance()]:
+        point, _ = uc_core._start_point(build_model(inst), 1e-9,
+                                        lambda: 60.0, HighsBackend())
+        ref = brute_force_uc(inst)
+        assert point.mip_dual_bound \
+            <= ref.objective + 1e-9 * abs(ref.objective)
 
 
 def test_brute_force_guard():
