@@ -4,10 +4,14 @@ Models are accumulated as column bound and cost arrays plus sparse row
 triplets, and solved with the HiGHS solver shipped with scipy: directly
 through its bundled binding where that private module is present, and
 through ``scipy.optimize.milp`` otherwise.
+
+``HighsBackend.solve_fixed`` solves an LP under a series of fixings of
+the same columns on one HiGHS instance, each from the previous basis.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +133,17 @@ class SolverModel:
     def matrix(self) -> sp.csr_matrix:
         return self.assembly().csr
 
+    def fixed(self, cols, vals) -> SolverModel:
+        """A copy with ``cols`` fixed at ``vals``. It has its own column
+        bounds and shares the rest, the assembly built first if need be:
+        this model is not written, and its later solves reuse the one
+        matrix."""
+        self.assembly()
+        m = copy.copy(self)
+        m.lb, m.ub = self.lb.copy(), self.ub.copy()
+        m.lb[cols] = m.ub[cols] = vals
+        return m
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row constraint violation of a candidate point (>= 0)."""
         asm = self.assembly()
@@ -153,6 +168,40 @@ class HighsBackend:
             return _solve_milp(model, mip_gap, time_limit)
         return _solve_direct(model, mip_gap, time_limit, start)
 
+    def solve_fixed(self, model: SolverModel, cols, vals,
+                    time_limit: float):
+        """One ``SolveResult`` per row of ``vals``, in order: ``model``
+        with ``cols`` fixed at that row, each solve within ``time_limit``.
+
+        On the direct path a model with no integer columns is passed to
+        HiGHS once; each row changes the fixed columns' bounds and
+        re-solves from the basis the previous row left. Otherwise each
+        row is a ``solve`` of its own ``fixed`` copy (``solve_each``).
+        """
+        if _highs is None or model.assembly().integrality.any():
+            return solve_each(self, model, cols, vals, time_limit)
+        return _solve_series(model, cols, vals, time_limit)
+
+
+def solve_each(backend, model: SolverModel, cols, vals, time_limit: float):
+    """``backend.solve`` of ``model.fixed(cols, v)`` for each row ``v`` of
+    ``vals``, in order; columns left integer are solved to a 1e-9 gap."""
+    for v in vals:
+        yield backend.solve(model.fixed(cols, v), mip_gap=1e-9,
+                            time_limit=time_limit)
+
+
+def _load(model: SolverModel, asm: Assembly):
+    """A quiet ``_Highs`` holding ``model``; None when HiGHS rejects it."""
+    a = asm.csc
+    h = _highs._Highs()
+    h.setOptionValue("log_to_console", False)
+    loaded = h.passModel(
+        model.n_vars, model.n_rows, a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, model.c, model.lb, model.ub,
+        asm.row_lo, asm.row_hi, a.indptr, a.indices, a.data, asm.integrality)
+    return None if loaded == _highs.HighsStatus.kError else h
+
 
 def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
                   start: np.ndarray | None) -> SolveResult:
@@ -162,26 +211,41 @@ def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
     integrality.
     """
     asm = model.assembly()
-    a = asm.csc
-    h = _highs._Highs()
-    h.setOptionValue("log_to_console", False)
+    h = _load(model, asm)
+    if h is None:
+        return SolveResult("infeasible", None, None, None)
     h.setOptionValue("mip_rel_gap", float(mip_gap))
     h.setOptionValue("time_limit", float(time_limit))
-    loaded = h.passModel(
-        model.n_vars, model.n_rows, a.nnz, int(_highs.MatrixFormat.kColwise),
-        int(_highs.ObjSense.kMinimize), 0.0, model.c, model.lb, model.ub,
-        asm.row_lo, asm.row_hi, a.indptr, a.indices, a.data, asm.integrality)
-    if loaded == _highs.HighsStatus.kError:
-        return SolveResult("infeasible", None, None, None)
     if start is not None:
         point = _highs.HighsSolution()
         point.col_value = start
         point.value_valid = True
         h.setSolution(point)
+    return _run(h, bool(asm.integrality.any()))
+
+
+def _solve_series(model: SolverModel, cols, vals, time_limit: float):
+    """``solve_fixed``'s direct path for a model with no integer columns."""
+    h = _load(model, model.assembly())
+    # HiGHS takes a column set in increasing order
+    order = np.argsort(cols)
+    idx = np.asarray(cols, dtype=np.int32)[order]
+    for v in vals:
+        if h is None:
+            yield SolveResult("infeasible", None, None, None)
+            continue
+        v = np.asarray(v, dtype=float)[order]
+        h.changeColsBounds(len(idx), idx, v, v)
+        # HiGHS's time limit counts every run of one instance
+        h.setOptionValue("time_limit", h.getRunTime() + float(time_limit))
+        yield _run(h, False)
+
+
+def _run(h, is_mip: bool) -> SolveResult:
+    """Run the loaded ``h`` and read its result."""
     ran = h.run() != _highs.HighsStatus.kError
     status = h.getModelStatus()
     info = h.getInfo()
-    is_mip = bool(asm.integrality.any())
     counts = {"simplex_iterations": info.simplex_iteration_count}
     if is_mip:
         counts.update(mip_dual_bound=info.mip_dual_bound,

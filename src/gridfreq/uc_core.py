@@ -14,8 +14,8 @@ their defining identities.
 
 from __future__ import annotations
 
-import copy
 import csv
+import functools
 import inspect
 import json
 import os
@@ -559,17 +559,6 @@ def _no_outage_tree(tree: ScenarioTree) -> ScenarioTree:
                    outage_size=tree.outage_size[keep])
 
 
-def _fixed(model: SolverModel, cols, vals) -> SolverModel:
-    """A copy of ``model`` with ``cols`` fixed at ``vals``. It has its own
-    column bounds and shares the rest, the assembly built first if need be:
-    ``model`` is not written, and its later solves reuse the one matrix."""
-    model.assembly()
-    m = copy.copy(model)
-    m.lb, m.ub = model.lb.copy(), model.ub.copy()
-    m.lb[cols] = m.ub[cols] = vals
-    return m
-
-
 def _start_point(built: BuiltModel, mip_gap: float, left,
                  backend) -> tuple[SolveResult | None, int | None]:
     """A complete feasible point of ``built`` and its proven gap.
@@ -582,7 +571,7 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     bound is a lower bound on the full day; down reserve's negative cost
     makes that term negative.
 
-    The reduced MILP's rounded u, fixed in a ``_fixed`` copy of the full
+    The reduced MILP's rounded u, fixed in a ``fixed`` copy of the full
     model, leaves an LP whose solution is the point; ``built.model`` is
     not written, and keeps the assembly the copy shares for a full run.
 
@@ -602,7 +591,7 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     bound, counts = res.mip_dual_bound, [res.simplex_iterations]
     if res.has_solution:
         u = np.rint(res.x[reduced.vars.u.ravel()])
-        res = backend.solve(_fixed(m, vm.u.ravel(), u), mip_gap=mip_gap,
+        res = backend.solve(m.fixed(vm.u.ravel(), u), mip_gap=mip_gap,
                             time_limit=left())
         counts.append(res.simplex_iterations)
     iterations = None if None in counts else sum(counts)
@@ -652,6 +641,8 @@ def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
 _FEAS_TOL = 1e-7
 # patterns screened per array block, which bounds the screen's temporaries
 _SCREEN_BLOCK = 256
+# passing patterns per solve_fixed series in brute_force_uc
+_CHUNK = 64
 
 
 def _commitment_patterns(built: BuiltModel):
@@ -708,12 +699,18 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
 
     u is the model's only integer family and every pattern fixes it, so
     the builder's integrality flags are cleared and each pattern is a
-    plain LP: one fresh, cold solve of a ``_fixed`` copy of the model,
-    which is never written. The LPs run on one worker thread per CPU this
-    process may use, each worker taking every n-th pattern. The answer is
+    plain LP. The passing patterns, in ``itertools.product`` order, are
+    cut into chunks of ``_CHUNK``, and each chunk is one
+    ``backend.solve_fixed`` series: on HiGHS's direct path its first LP
+    solves cold and each later one starts from the basis its predecessor
+    left. A backend without ``solve_fixed`` solves each pattern on its
+    own (``solver.solve_each``). The model is never written. The chunks
+    run on one worker thread per CPU this process may use. The answer is
     the lowest objective, and among equal objectives the first pattern in
-    ``itertools.product`` order: what solving them one after another in
-    that order keeps.
+    ``itertools.product`` order; a chunk's LPs do not depend on which
+    worker runs it, so the answer is the same for any CPU count. If any
+    LP stops at its time limit the result is ``timeout``, with no point:
+    that LP might have been the cheapest.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
@@ -724,21 +721,27 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     # cleared before _commitment_patterns builds the shared assembly
     m.is_int = [False] * m.n_vars
     backend = backend or get_backend()
+    series = (getattr(backend, "solve_fixed", None)
+              or functools.partial(solver.solve_each, backend))
     cols, vals, passes = _commitment_patterns(built)
 
-    def cheapest(share):
-        # (objective, index, result) of the share's cheapest optimal LP
-        solved = ((backend.solve(_fixed(m, cols, vals[k]), mip_gap=1e-9,
-                                 time_limit=60.0), k) for k in share)
-        return min(((res.objective, k, res) for res, k in solved
-                    if res.status == "optimal"),
-                   key=lambda b: b[:2], default=None)
+    def cheapest(chunk):
+        # whether an LP of the chunk timed out, and its cheapest optimal
+        # LP as (objective, index, result) or None
+        solved = list(zip(series(m, cols, vals[chunk], 60.0), chunk))
+        return (any(res.status == "timeout" for res, _ in solved),
+                min(((res.objective, k, res) for res, k in solved
+                     if res.status == "optimal"),
+                    key=lambda b: b[:2], default=None))
 
     todo, n = np.flatnonzero(passes), len(os.sched_getaffinity(0))
     with ThreadPoolExecutor(max_workers=n) as pool:
-        best = min(filter(None, pool.map(cheapest, (todo[w::n]
-                                                    for w in range(n)))),
-                   key=lambda b: b[:2], default=None)
+        found = list(pool.map(cheapest, (todo[i:i + _CHUNK] for i in
+                                         range(0, len(todo), _CHUNK))))
+    if any(timed_out for timed_out, _ in found):
+        return UcSolution(status="timeout", objective=None, mip_gap=None)
+    best = min(filter(None, (b for _, b in found)), key=lambda b: b[:2],
+               default=None)
     if best is None:
         return UcSolution(status="infeasible", objective=None, mip_gap=None)
     return _extract(built, best[2])

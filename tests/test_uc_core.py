@@ -22,7 +22,7 @@ from gridfreq.study import day_instance, prepare_surrogates
 from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               UcModelError, WindFarm, _commitment_patterns,
-                              _fixed, brute_force_uc, build_model,
+                              brute_force_uc, build_model,
                               dump_solution, load_instance, residual_scale,
                               solve)
 
@@ -316,6 +316,37 @@ def small_bounds_instance():
                           surrogates={"g3": extract_bounds(cloud, limits)})
 
 
+def oracle_shaped_instance():
+    """Three units by four hours, shaped like the benchmark's oracle
+    instance: 4,096 patterns, 1,152 of them passing the screen."""
+    units = [make_unit(uid=f"g{i + 1}", bus=bus, p_max=p_max,
+                       p_min=0.25 * p_max, cost_energy=cost,
+                       res_up_cap=0.3 * p_max, res_down_cap=0.3 * p_max,
+                       ramp_up=0.6 * p_max, ramp_down=0.6 * p_max,
+                       min_up=up, min_down=down, inertia_h=5.5, gain_k=1.0,
+                       turbine_fraction=0.25, droop=0.03)
+             for i, (bus, p_max, up, down, cost) in enumerate(
+                 [("n1", 160.0, 1, 2, 30.0), ("n2", 120.0, 1, 1, 45.0),
+                  ("n2", 80.0, 2, 2, 25.0)])]
+    total = np.array([165.0, 180.0, 195.0, 175.0])
+    inst = small_instance(units=units, outage="g3",
+                          initial=InitialState(commitment={"g1": 1},
+                                               power={"g1": 80.0}))
+    inst.network = replace(two_bus_network(), demand={
+        "n1": list(2.0 / 3.0 * total), "n2": list(total / 3.0)},
+        lines=[Line("n1", "n2", susceptance=500.0, capacity=120.0)])
+    return inst
+
+
+def lp_patterns(make):
+    """The LP brute_force_uc solves for ``make()``, and its patterns."""
+    built = build_model(make())
+    m = built.model
+    m.is_int = [False] * m.n_vars
+    cols, vals, passes = _commitment_patterns(built)
+    return built, cols, vals, passes
+
+
 @pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
 def test_brute_force_screen_is_sound(make):
     inst = make()
@@ -323,22 +354,23 @@ def test_brute_force_screen_is_sound(make):
     cols, vals, passes = _commitment_patterns(built)
     assert passes.any() and not passes.all()
     for v in vals[~passes]:
-        assert HighsBackend().solve(_fixed(built.model, cols, v),
+        assert HighsBackend().solve(built.model.fixed(cols, v),
                                     mip_gap=1e-9).status == "infeasible"
 
     class Counting(HighsBackend):
-        # solve runs on brute_force_uc's worker threads
-        calls = 0
+        # solve_fixed runs on brute_force_uc's worker threads
+        lps = 0
         lock = threading.Lock()
 
-        def solve(self, model, **kwargs):
-            with self.lock:
-                self.calls += 1
-            return super().solve(model, **kwargs)
+        def solve_fixed(self, model, cols, vals, time_limit):
+            for res in super().solve_fixed(model, cols, vals, time_limit):
+                with self.lock:
+                    self.lps += 1
+                yield res
 
     backend = Counting()
     brute_force_uc(inst, backend=backend)
-    assert backend.calls == np.count_nonzero(passes)
+    assert backend.lps == np.count_nonzero(passes)
 
 
 def _fingerprint(sol):
@@ -346,28 +378,38 @@ def _fingerprint(sol):
             sol.max_residual.hex())
 
 
-@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance,
+                                  oracle_shaped_instance])
 def test_brute_force_pool_matches_one_worker(make, monkeypatch):
+    # the same answer, bit for bit, for this machine and 1, 2 or 3 CPUs
     pooled = _fingerprint(brute_force_uc(make()))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert pooled == _fingerprint(brute_force_uc(make()))
+    for n_cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        assert pooled == _fingerprint(brute_force_uc(make()))
 
 
-@pytest.mark.parametrize("make", [small_instance, small_bounds_instance])
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance,
+                                  oracle_shaped_instance])
 def test_brute_force_workers_fix_own_patterns(make, monkeypatch):
-    # more workers than cores, each yielding between fixing a pattern and
-    # solving it: a worker that wrote another's bounds would make some
-    # pattern reach the backend twice and another not at all
+    # more workers than cores, each yielding between its LPs: a worker
+    # that fixed another's pattern would make some pattern reach HiGHS
+    # twice and another not at all, or a solution miss its own pattern
     class Recording(HighsBackend):
         def __init__(self, u_cols):
             self.u_cols, self.seen = u_cols, []
             self.lock = threading.Lock()
 
-        def solve(self, model, **kwargs):
-            time.sleep(1e-4)
-            with self.lock:
-                self.seen.append(model.lb[self.u_cols].tobytes())
-            return super().solve(model, **kwargs)
+        def solve_fixed(self, model, cols, vals, time_limit):
+            n = len(self.u_cols)
+            for v, res in zip(vals, super().solve_fixed(model, cols, vals,
+                                                        time_limit)):
+                time.sleep(1e-4)
+                assert not res.has_solution \
+                    or np.array_equal(res.x[self.u_cols], v[:n])
+                with self.lock:
+                    self.seen.append(v[:n].tobytes())
+                yield res
 
     inst = make()
     built = build_model(inst)
@@ -388,25 +430,93 @@ def test_brute_force_workers_fix_own_patterns(make, monkeypatch):
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 def test_brute_force_tie_keeps_first_pattern(n_cpus, monkeypatch):
     class Tied(HighsBackend):
-        def solve(self, model, **kwargs):
-            res = super().solve(model, **kwargs)
-            if res.status == "optimal":
-                res = replace(res, objective=1.0)
-            return res
+        def solve_fixed(self, model, cols, vals, time_limit):
+            for res in super().solve_fixed(model, cols, vals, time_limit):
+                if res.status == "optimal":
+                    res = replace(res, objective=1.0)
+                yield res
 
-    inst = small_instance()
-    built = build_model(inst)
-    m = built.model
-    m.is_int = [False] * m.n_vars
-    cols, vals, passes = _commitment_patterns(built)
+    built, cols, vals, passes = lp_patterns(small_instance)
     first = next(v[:built.vars.u.size] for v in vals[passes]
-                 if HighsBackend().solve(_fixed(m, cols, v),
+                 if HighsBackend().solve(built.model.fixed(cols, v),
                                          mip_gap=1e-9).status == "optimal")
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n_cpus)))
-    sol = brute_force_uc(inst, backend=Tied())
+    sol = brute_force_uc(small_instance(), backend=Tied())
     assert sol.objective == 1.0
     assert np.array_equal(sol.u.ravel(), first)
+
+
+def test_brute_force_without_solve_fixed():
+    """A backend with only ``solve`` gets one cold solve per passing
+    pattern, and the same answer."""
+    class SolveOnly:
+        name = "solve-only"
+        calls = 0
+        lock = threading.Lock()
+
+        def solve(self, model, mip_gap=1e-4, time_limit=600.0):
+            with self.lock:
+                self.calls += 1
+            return HighsBackend().solve(model, mip_gap=mip_gap,
+                                        time_limit=time_limit)
+
+    _, _, _, passes = lp_patterns(small_bounds_instance)
+    backend = SolveOnly()
+    sol = brute_force_uc(small_bounds_instance(), backend=backend)
+    assert backend.calls == np.count_nonzero(passes)
+    ref = brute_force_uc(small_bounds_instance())
+    assert np.array_equal(sol.u, ref.u)
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+
+
+def test_brute_force_timeout_is_not_infeasible():
+    """An LP stopped by its time limit makes the answer ``timeout``, even
+    when every other pattern solved: the lost LP here is the optimum."""
+    best = brute_force_uc(small_instance()).u.ravel()
+    n = best.size
+
+    class SlowOnBest(HighsBackend):
+        def solve_fixed(self, model, cols, vals, time_limit):
+            for v, res in zip(vals, super().solve_fixed(model, cols, vals,
+                                                        time_limit)):
+                if np.array_equal(v[:n], best):
+                    res = solver.SolveResult("timeout", None, None, None)
+                yield res
+
+    sol = brute_force_uc(small_instance(), backend=SlowOnBest())
+    assert sol.status == "timeout" and sol.objective is None
+
+
+@needs_highs
+@pytest.mark.parametrize("make", [small_instance, small_bounds_instance,
+                                  oracle_shaped_instance])
+def test_solve_fixed_matches_cold_solves(make):
+    """One warm-started series over every passing pattern gives each
+    pattern's cold-solve status, and its objective within 1e-9."""
+    built, cols, vals, passes = lp_patterns(make)
+    m, backend = built.model, HighsBackend()
+    series = list(backend.solve_fixed(m, cols, vals[passes], 60.0))
+    assert len(series) == np.count_nonzero(passes)
+    for v, warm in zip(vals[passes], series):
+        cold = backend.solve(m.fixed(cols, v), mip_gap=1e-9)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+@needs_highs
+def test_solve_fixed_time_limit_is_per_lp():
+    """HiGHS counts its time limit over every run of one instance; each
+    LP of a series gets the whole limit, so a series far longer than the
+    limit, of LPs far shorter, solves every pattern."""
+    built, cols, vals, passes = lp_patterns(oracle_shaped_instance)
+    limit = 0.05
+    began = time.perf_counter()
+    series = list(HighsBackend().solve_fixed(
+        built.model, cols, np.tile(vals[passes], (2, 1)), limit))
+    assert time.perf_counter() - began > 4 * limit
+    assert all(res.status != "timeout" for res in series)
 
 
 def test_brute_force_milp_fallback(monkeypatch):
@@ -473,7 +583,7 @@ def screen_rejected_model():
     rejects."""
     built = build_model(small_bounds_instance())
     cols, vals, passes = _commitment_patterns(built)
-    return _fixed(built.model, cols, vals[~passes][0])
+    return built.model.fixed(cols, vals[~passes][0])
 
 
 # (model, solve options, expected status); small_off at a 0.5 gap stops
