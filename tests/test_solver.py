@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gridfreq.solver import SolverModel
 
@@ -19,3 +20,13 @@ def test_matrix_follows_added_columns_and_rows():
     # the new row is checked: 3 * 0 - 1 * 1 misses its lower bound 1 by 2
     assert np.array_equal(m.residuals(np.array([0.0, 1.0, 0.0])),
                           [0.0, 2.0])
+
+
+def test_row_with_unknown_column_is_rejected():
+    m = SolverModel()
+    a, b = m.add_vars(2)
+    for bad in (2, -2):
+        with pytest.raises(IndexError,
+                           match=f"row references unknown variable {bad}"):
+            m.add_le([(a, 1.0), (bad, 1.0)], 4.0)
+    assert m.n_rows == 0

@@ -13,7 +13,8 @@ import pytest
 from gridfreq import solver, uc_core
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
-from gridfreq.nadir_linearization import (enumerate_commitments,
+from gridfreq.nadir_linearization import (NadirBounds, PwlFit, PwlSegment,
+                                          enumerate_commitments,
                                           extract_bounds, fit_pwl,
                                           make_nadir_fn, nadir_grid)
 from gridfreq.scenarios import ContingencyModel, WindScenario, build_tree
@@ -554,8 +555,69 @@ def highs_input_digest(m):
     return h.hexdigest()
 
 
-# Any change to what HiGHS receives shows here.  pwl mode is left out: its
-# fit goes through LAPACK lstsq, whose last bits depend on the BLAS build.
+def small_pwl_instance():
+    """small_instance in pwl mode with a hand-written two-segment fit, so
+    no LAPACK call feeds the model."""
+    fit = PwlFit([PwlSegment(a=-0.9, b=-4.5, c=-0.05, d=0.7),
+                  PwlSegment(a=-0.3, b=-1.25, c=-0.02, d=0.45)], rmse=0.0)
+    return small_instance(freq_mode="pwl", surrogates={"g2": fit})
+
+
+def edge_instance(freq_mode):
+    """Corner cases of the row builder on four hours: two parallel lines
+    (one written backwards), a node with demand and no line, two farms at
+    one bus, a unit with p_min 0, one with turbine_fraction 0, min_up
+    past the horizon, carried min up/down obligations, and two credible
+    outages whose hand-written surrogates differ in size."""
+    units = [
+        make_unit(uid="g1", bus="n1", p_max=150.0, p_min=0.0),
+        make_unit(uid="g2", bus="n2", p_max=90.0, p_min=20.0,
+                  turbine_fraction=0.0, min_down=3, cost_energy=35.0),
+        make_unit(uid="g3", bus="n3", p_max=60.0, p_min=10.0, min_up=6,
+                  cost_energy=45.0),
+    ]
+    net = Network(
+        nodes=["n1", "n2", "n3"],
+        lines=[Line("n1", "n2", susceptance=400.0, capacity=80.0),
+               Line("n2", "n1", susceptance=250.0, capacity=60.0)],
+        demand={"n1": [70.0, 90.0, 85.0, 60.0],
+                "n2": [40.0, 55.0, 50.0, 35.0],
+                "n3": [20.0, 25.0, 30.0, 15.0]},
+        value_of_lost_load=5000.0,
+        farms=[WindFarm("w1", "n2", 60.0), WindFarm("w2", "n2", 40.0)])
+    wind = [WindScenario("s1", 0.6, {"w1": [30.0, 20.1, 0.0, 10.3],
+                                     "w2": [12.7, 0.0, 8.9, 5.5]}),
+            WindScenario("s2", 0.4, {"w1": [0.0, 35.2, 15.6, 0.0],
+                                     "w2": [0.0, 3.3, 0.0, 20.4]})]
+    cm = ContingencyModel(credible_outages=["g1", "g2"], contingency_hour=1,
+                          lam=1e-3)
+    tree = build_tree(wind, cm, units, 4000.0, 4)
+    surrogates = None
+    if freq_mode == "bounds":
+        surrogates = {"g1": NadirBounds(0.0375, 2.0, 30.0, 3.0),
+                      "g2": NadirBounds(0.0225, 1.5, 20.0, 2.0)}
+    elif freq_mode == "pwl":
+        surrogates = {
+            "g1": PwlFit([PwlSegment(-0.008, -0.05, -0.02, 0.9),
+                          PwlSegment(-0.002, -0.01, -0.01, 0.5)], rmse=0.0),
+            "g2": PwlFit([PwlSegment(-0.006, -0.04, -0.03, 0.8),
+                          PwlSegment(-0.0025, -0.02, -0.015, 0.55),
+                          PwlSegment(-0.001, -0.005, -0.005, 0.3)],
+                         rmse=0.0)}
+    return UcInstance(
+        network=net, units=units,
+        fleet=ConverterFleet(vsm_capacity=50.0, droop_capacity=30.0),
+        tree=tree, limits=FrequencyLimits(), horizon=4, freq_mode=freq_mode,
+        surrogates=surrogates,
+        initial=InitialState(commitment={"g1": 1, "g3": 1},
+                             power={"g1": 60.0, "g3": 30.0},
+                             min_up_left={"g3": 2},
+                             min_down_left={"g2": 1}))
+
+
+# Any change to what HiGHS receives shows here.  pwl mode uses hand-written
+# fits: fit_pwl goes through LAPACK lstsq, whose last bits depend on the
+# BLAS build.
 @pytest.mark.parametrize("make, digest", [
     (small_instance,
      "4341d80a479ee5e67e67e9667949cccb7abab4f2dc85a40c17108f355d027c51"),
@@ -563,9 +625,30 @@ def highs_input_digest(m):
      "e17687de938442fba4784969d2947d7c836fb6def6ae87e82bd7b9b0a84b1b12"),
     (study_day_bounds_instance,
      "317815f43bbbf03092c639d02156d4a2c76ea334bfb92c09fc0a8acb13871224"),
-], ids=["small_off", "small_bounds", "study_day_bounds"])
+    (small_pwl_instance,
+     "eb92e9abb72d499853c0b393adc085c9ecad5223857f89cd57d6b07244db7aad"),
+    (functools.partial(edge_instance, "off"),
+     "ed76e12c5626934f26f4939abb4512990362f12d4c08f44d6a6d2705a8c4c622"),
+    (functools.partial(edge_instance, "bounds"),
+     "30e3fb5fd7ab553678b8b228aa023d0c2e1bb87047f18af4e8a690994a1a6054"),
+    (functools.partial(edge_instance, "pwl"),
+     "551839c8e85a4c2e1cc39288c178c023623ea8df4cf057c634f1bc8a477dc7b5"),
+], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
+        "edge_off", "edge_bounds", "edge_pwl"])
 def test_model_fingerprint_frozen(make, digest):
     assert highs_input_digest(build_model(make()).model) == digest
+
+
+@pytest.mark.parametrize("make, counts", [
+    (small_instance, (210, 188, 806, 8)),
+    (small_bounds_instance, (221, 177, 808, 9)),
+], ids=["small_off", "small_bounds"])
+def test_model_counters(make, counts):
+    """The size counters the benchmark's tracer reads off a built model:
+    rows, columns, stored entries and integer columns."""
+    m = build_model(make()).model
+    assert (m.n_rows, m.n_vars, sum(len(e) for e in m.row_entries),
+            sum(m.is_int)) == counts
 
 
 def model_of(make):
