@@ -1,9 +1,9 @@
 """Thin mixed-integer solver abstraction.
 
-Models are accumulated as column bound and cost arrays plus sparse row
-triplets, and solved with the HiGHS solver shipped with scipy: directly
-through its bundled binding where that private module is present, and
-through ``scipy.optimize.milp`` otherwise.
+Models are accumulated as column bound and cost arrays plus blocks of
+rows added from arrays, and solved with the HiGHS solver shipped with
+scipy: directly through its bundled binding where that private module
+is present, and through ``scipy.optimize.milp`` otherwise.
 
 ``HighsBackend.solve_fixed`` solves an LP under a series of fixings of
 the same columns on one HiGHS instance, each from the previous basis.
@@ -12,6 +12,7 @@ the same columns on one HiGHS instance, each from the previous basis.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +57,24 @@ class Assembly:
     integrality: np.ndarray
 
 
+@dataclass(frozen=True)
+class RowBlock:
+    """Rows added together: each entry's row, column and coefficient, in
+    row order and within a row in the order given; each row's bounds."""
+
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coef)
+
+
 @dataclass
 class SolverModel:
-    """Linear MIP: column arrays plus range rows in triplet form."""
+    """Linear MIP: column arrays plus range rows in blocks."""
 
     lb: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ub: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -66,9 +82,7 @@ class SolverModel:
     # copied into the assembly below when that is built, so set it before
     # the first solve or matrix() call
     is_int: list[bool] = field(default_factory=list)
-    row_entries: list[list[tuple[int, float]]] = field(default_factory=list)
-    row_lo: list[float] = field(default_factory=list)
-    row_hi: list[float] = field(default_factory=list)
+    row_entries: list[RowBlock] = field(default_factory=list)
     # matrix, row bound and integrality arrays, built on demand and dropped
     # when a column or row is added, so repeated solves and residual checks
     # share one assembly
@@ -81,7 +95,7 @@ class SolverModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_entries)
+        return sum(len(b.lo) for b in self.row_entries)
 
     def add_vars(self, n: int, lb: float = 0.0, ub: float = INF,
                  binary: bool = False) -> np.ndarray:
@@ -94,40 +108,35 @@ class SolverModel:
         self._assembly = None
         return np.arange(start, start + n)
 
-    def add_row(self, entries: list[tuple[int, float]], lo: float,
-                hi: float) -> int:
-        for idx, _ in entries:
-            if not 0 <= idx < self.n_vars:
-                raise IndexError(f"row references unknown variable {idx}")
-        self.row_entries.append(entries)
-        self.row_lo.append(lo)
-        self.row_hi.append(hi)
+    def add_rows(self, cols, vals, lo, hi) -> None:
+        """Append rows ``lo <= vals . x[cols] <= hi``, one per index of the
+        leading axes of ``cols`` and ``vals`` in C order. The two broadcast
+        together, their last axis holds a row's entries, and column -1 is
+        no entry; ``lo`` and ``hi`` broadcast to the leading axes."""
+        cols, vals = np.broadcast_arrays(cols, np.asarray(vals, dtype=float))
+        bad = cols[(cols < -1) | (cols >= self.n_vars)]
+        if len(bad):
+            raise IndexError(f"row references unknown variable {bad[0]}")
+        shape = cols.shape[:-1]
+        flat = (math.prod(shape), cols.shape[-1])
+        used = cols.reshape(flat) >= 0
+        self.row_entries.append(RowBlock(
+            self.n_rows + np.nonzero(used)[0], cols.reshape(flat)[used],
+            vals.reshape(flat)[used],
+            np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel(),
+            np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel()))
         self._assembly = None
-        return len(self.row_entries) - 1
-
-    def add_le(self, entries, rhs) -> int:
-        return self.add_row(entries, -INF, rhs)
-
-    def add_ge(self, entries, rhs) -> int:
-        return self.add_row(entries, rhs, INF)
-
-    def add_eq(self, entries, rhs) -> int:
-        return self.add_row(entries, rhs, rhs)
 
     def assembly(self) -> Assembly:
         if self._assembly is None:
-            rows, cols, vals = [], [], []
-            for r, entries in enumerate(self.row_entries):
-                for idx, coef in entries:
-                    rows.append(r)
-                    cols.append(idx)
-                    vals.append(coef)
-            csr = sp.csr_matrix((vals, (rows, cols)),
+            blocks = [RowBlock(*[np.zeros(0, int)] * 2, *[np.zeros(0)] * 3)]
+            row, col, coef, lo, hi = (np.concatenate(x) for x in zip(*(
+                (b.row, b.col, b.coef, b.lo, b.hi)
+                for b in blocks + self.row_entries)))
+            csr = sp.csr_matrix((coef, (row, col)),
                                 shape=(self.n_rows, self.n_vars))
-            self._assembly = Assembly(
-                csr, csr.tocsc(), np.array(self.row_lo, dtype=float),
-                np.array(self.row_hi, dtype=float),
-                np.array(self.is_int, dtype=np.int32))
+            self._assembly = Assembly(csr, csr.tocsc(), lo, hi,
+                                      np.array(self.is_int, dtype=np.int32))
         return self._assembly
 
     def matrix(self) -> sp.csr_matrix:

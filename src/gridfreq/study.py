@@ -189,13 +189,14 @@ def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
     enumerated cloud point, so conservativeness carries over exactly.
     """
     tree = instance.tree
+    clouds = {uid: enumerate_commitments(instance.units, uid, instance.fleet,
+                                         instance.limits, instance.t_turbine)
+              for uid in {s.outage_unit for s in tree.scenarios} - {None}}
     for s, scen in enumerate(tree.scenarios):
         if scen.outage_unit is None:
             continue
         t = tree.contingency_hour
-        cloud = enumerate_commitments(instance.units, scen.outage_unit,
-                                      instance.fleet, instance.limits,
-                                      instance.t_turbine)
+        cloud = clouds[scen.outage_unit]
         online = {u.id for i, u in enumerate(instance.units)
                   if sol.u[i, t] and tree.availability[s, i, t]}
         mask = cloud.mask_of(online)

@@ -240,7 +240,7 @@ def build_model(instance: UcInstance) -> BuiltModel:
     instance.validate()
     net, units, tree = instance.network, instance.units, instance.tree
     T = instance.horizon
-    I, J, N = len(units), len(net.farms), len(net.nodes)
+    I, J, N, L = len(units), len(net.farms), len(net.nodes), len(net.lines)
     S = len(tree.scenarios)
     node_idx = {n: k for k, n in enumerate(net.nodes)}
     alpha = tree.availability    # (S, I, T)
@@ -290,118 +290,90 @@ def build_model(instance: UcInstance) -> BuiltModel:
     m.lb[u[np.arange(T) < up_left[:, None]]] = 1.0
     m.ub[u[np.arange(T) < dn_left[:, None]]] = 0.0
 
-    units_at = {n: [] for n in range(N)}
-    for i, unit in enumerate(units):
-        units_at[node_idx[unit.bus]].append(i)
-    farms_at = {n: [] for n in range(N)}
-    for j, farm in enumerate(net.farms):
-        farms_at[node_idx[farm.bus]].append(j)
-    lines_at = {n: [] for n in range(N)}   # (line index, sign-from-node)
-    for e, ln in enumerate(net.lines):
-        lines_at[node_idx[ln.node_from]].append((e, +1))
-        lines_at[node_idx[ln.node_to]].append((e, -1))
+    # where units and farms sit, and each line's (from, to) end
+    at = np.arange(N)[:, None]
+    unit_at = np.array([node_idx[x.bus] for x in units]) == at     # (N, I)
+    farm_at = np.array([node_idx[f.bus] for f in net.farms], dtype=int) == at
+    ends = np.array([[node_idx[ln.node_from], node_idx[ln.node_to]]
+                     for ln in net.lines], dtype=int).reshape(L, 2)
+    end_at = ends == at[:, :, None]                       # (N, L, 2)
+    da, rt = delta_da[ends], delta_rt[ends]               # (L, 2, [S,] T)
+    cap = np.array([ln.capacity for ln in net.lines])[:, None]
+    # a line's flow coefficients on the angles at its (from, to) end
+    su = np.array([(ln.susceptance, -ln.susceptance)
+                   for ln in net.lines]).reshape(L, 2)
+    u0 = np.array([int(init.commitment.get(x.id, 0)) for x in units])
+    p0 = np.array([float(init.power.get(x.id, 0.0)) for x in units])
+    first = np.arange(T) == 0
 
-    u0 = {u_.id: int(instance.initial.commitment.get(u_.id, 0))
-          for u_ in units}
-    p0 = {u_.id: float(instance.initial.power.get(u_.id, 0.0))
-          for u_ in units}
+    # day-ahead nodal balance over (n, t): units, farms, then at each
+    # line end on n that line's angles; flow limits over (l, t)
+    m.add_rows(*_node_rows(
+        (np.where(unit_at[:, None], p.T, -1), 1.0),
+        (np.where(farm_at[:, None], w.T, -1), 1.0),
+        (np.where(end_at[:, None, :, :, None],
+                  da.transpose(2, 0, 1)[:, :, None], -1),
+         np.stack([-su, su], axis=-1))), demand, demand)
+    m.add_rows(da.transpose(0, 2, 1), su[:, None], -cap, cap)
 
-    # day-ahead nodal balance and flow limits
-    for n in range(N):
-        for t in range(T):
-            entries = [(p[i, t], 1.0) for i in units_at[n]]
-            entries += [(w[j, t], 1.0) for j in farms_at[n]]
-            for e, sign in lines_at[n]:
-                ln = net.lines[e]
-                a, b = node_idx[ln.node_from], node_idx[ln.node_to]
-                entries.append((delta_da[a, t], -sign * ln.susceptance))
-                entries.append((delta_da[b, t], sign * ln.susceptance))
-            m.add_eq(entries, demand[n, t])
-    for ln in net.lines:
-        a, b = node_idx[ln.node_from], node_idx[ln.node_to]
-        for t in range(T):
-            m.add_row([(delta_da[a, t], ln.susceptance),
-                       (delta_da[b, t], -ln.susceptance)],
-                      -ln.capacity, ln.capacity)
+    # commitment logic over (i, t): startup, shutdown, then strengthened
+    # min up and min down rows for each later hour t + d < T that the
+    # minimum time reaches; each row reads (head, u[t], u[t-1])
+    d = np.arange(1, T)
+    later = u[:, np.minimum(np.arange(T)[:, None] + d, T - 1)]
+    kind = np.repeat([0, 1, 2, 3], [1, 1, T - 1, T - 1])
+    cols = np.stack(np.broadcast_arrays(
+        np.concatenate([y[..., None], z[..., None], later, later], axis=-1),
+        u[..., None], _lag(u)[..., None]), axis=-1)
+    vals = np.array([[1, -1, 1], [1, 1, -1], [1, -1, 1], [1, -1, 1]])[kind]
+    lo_on = np.where(first, -u0[:, None], 0)
+    lo = np.stack(np.broadcast_arrays(
+        lo_on, np.where(first, u0[:, None], 0), lo_on, -INF), -1)[..., kind]
+    hi = np.stack(np.broadcast_arrays(INF, INF, INF, np.where(
+        first, 1.0 - u0[:, None], 1.0)), -1)[..., kind]
+    ahead = np.concatenate([[0, 0], d, d])
+    reach = np.stack(np.broadcast_arrays(
+        T, T, per_unit("min_up"), per_unit("min_down")), -1)[:, None, kind]
+    keep = (np.arange(T)[:, None] + ahead < T) & (ahead < reach)
+    m.add_rows(cols[keep], np.broadcast_to(vals, cols.shape)[keep],
+               lo[keep], hi[keep])
 
-    # commitment logic: startup/shutdown and strengthened min up/down
-    for i, unit in enumerate(units):
-        for t in range(T):
-            if t == 0:
-                m.add_ge([(y[i, t], 1.0), (u[i, t], -1.0)], -u0[unit.id])
-                m.add_ge([(z[i, t], 1.0), (u[i, t], 1.0)], u0[unit.id])
-            else:
-                m.add_ge([(y[i, t], 1.0), (u[i, t], -1.0),
-                          (u[i, t - 1], 1.0)], 0.0)
-                m.add_ge([(z[i, t], 1.0), (u[i, t], 1.0),
-                          (u[i, t - 1], -1.0)], 0.0)
-            for tau in range(t, min(t + unit.min_up - 1, T - 1) + 1):
-                if tau == t:
-                    continue
-                if t == 0:
-                    m.add_ge([(u[i, tau], 1.0), (u[i, t], -1.0)],
-                             -u0[unit.id])
-                else:
-                    m.add_ge([(u[i, tau], 1.0), (u[i, t], -1.0),
-                              (u[i, t - 1], 1.0)], 0.0)
-            for tau in range(t, min(t + unit.min_down - 1, T - 1) + 1):
-                if tau == t:
-                    continue
-                if t == 0:
-                    m.add_le([(u[i, tau], 1.0), (u[i, t], -1.0)],
-                             1.0 - u0[unit.id])
-                else:
-                    m.add_le([(u[i, tau], 1.0), (u[i, t], -1.0),
-                              (u[i, t - 1], 1.0)], 1.0)
-
-    # real-time balance, capacity, ramping and flow limits
+    # real-time stage, scenario by scenario: nodal balance over (n, t),
+    # capacity up/down and ramping up/down over (i, t, kind), and flow
+    # limits over (l, t)
+    none = np.full_like(u, -1)
+    ramps = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [1, -1, 1, -1],
+                      [1, -1, -1, 1]]) * np.ones((I, 1, 1))
+    ramps[:, :2, 2] = -np.stack([per_unit("p_max"), per_unit("p_min")], 1)
+    ramp_up = per_unit("ramp_up")[:, None]
+    ramp_dn = per_unit("ramp_down")[:, None]
+    ramp_lo = np.stack(np.broadcast_arrays(-INF, 0.0, -INF, np.where(
+        first, p0[:, None] - ramp_dn, -ramp_dn)), axis=-1)
+    ramp_hi = np.stack(np.broadcast_arrays(0.0, INF, np.where(
+        first, ramp_up + p0[:, None], ramp_up), INF), axis=-1)
+    # 0.0 - wind, farm by farm: the sign of a zero right-hand side and the
+    # rounding of the sum reach HiGHS
+    rhs = np.subtract.reduce(np.where(farm_at[:, :, None, None], wind, 0.0),
+                             axis=1, initial=0.0)         # (N, S, T)
     for s in range(S):
-        for n in range(N):
-            for t in range(T):
-                entries = []
-                rhs = 0.0
-                for i in units_at[n]:
-                    entries.append((r_up[i, s, t], 1.0))
-                    entries.append((r_dn[i, s, t], -1.0))
-                    out = 1.0 - alpha[s, i, t]
-                    if out:
-                        entries.append((p[i, t], -out))
-                for e, sign in lines_at[n]:
-                    ln = net.lines[e]
-                    a, b = node_idx[ln.node_from], node_idx[ln.node_to]
-                    su = sign * ln.susceptance
-                    entries += [(delta_da[a, t], su), (delta_rt[a, s, t], -su),
-                                (delta_da[b, t], -su), (delta_rt[b, s, t], su)]
-                for j in farms_at[n]:
-                    rhs -= wind[j, s, t]
-                    entries.append((w[j, t], -1.0))
-                    entries.append((spill[j, s, t], -1.0))
-                entries.append((shed[n, s, t], 1.0))
-                m.add_eq(entries, rhs)
-        for i, unit in enumerate(units):
-            for t in range(T):
-                m.add_le([(p[i, t], 1.0), (r_up[i, s, t], 1.0),
-                          (u[i, t], -unit.p_max)], 0.0)
-                m.add_ge([(p[i, t], 1.0), (r_dn[i, s, t], -1.0),
-                          (u[i, t], -unit.p_min)], 0.0)
-                if t == 0:
-                    m.add_le([(p[i, t], 1.0), (r_up[i, s, t], 1.0)],
-                             unit.ramp_up + p0[unit.id])
-                    m.add_ge([(p[i, t], 1.0), (r_dn[i, s, t], -1.0)],
-                             p0[unit.id] - unit.ramp_down)
-                else:
-                    m.add_le([(p[i, t], 1.0), (p[i, t - 1], -1.0),
-                              (r_up[i, s, t], 1.0), (r_up[i, s, t - 1], -1.0)],
-                             unit.ramp_up)
-                    m.add_ge([(p[i, t], 1.0), (p[i, t - 1], -1.0),
-                              (r_dn[i, s, t], -1.0), (r_dn[i, s, t - 1], 1.0)],
-                             -unit.ramp_down)
-        for ln in net.lines:
-            a, b = node_idx[ln.node_from], node_idx[ln.node_to]
-            for t in range(T):
-                m.add_row([(delta_rt[a, s, t], ln.susceptance),
-                           (delta_rt[b, s, t], -ln.susceptance)],
-                          -ln.capacity, ln.capacity)
+        ru, rd, out = r_up[:, s], r_dn[:, s], 1.0 - alpha[s]
+        # entries over (t, unit, 3), (t, line, end, 4) and (t, farm, 2)
+        unit_terms = np.stack([ru.T, rd.T, np.where(out != 0, p, -1).T], -1)
+        line_terms = np.stack([da[:, 0].T, rt[:, 0, s].T, da[:, 1].T,
+                               rt[:, 1, s].T], -1)[:, :, None]
+        farm_terms = np.stack([w.T, spill[:, s].T], -1)
+        m.add_rows(*_node_rows(
+            (np.where(unit_at[:, None, :, None], unit_terms, -1),
+             np.stack(np.broadcast_arrays(1.0, -1.0, -out.T), -1)),
+            (np.where(end_at[:, None, :, :, None], line_terms, -1),
+             np.stack([su, -su, -su, su], axis=-1)),
+            (np.where(farm_at[:, None, :, None], farm_terms, -1), -1.0),
+            (shed[:, s, :, None], 1.0)), rhs[:, s], rhs[:, s])
+        m.add_rows(np.stack([np.stack(k, axis=-1) for k in (
+            (p, ru, u, none), (p, rd, u, none),
+            (p, _lag(p), ru, _lag(ru)), (p, _lag(p), rd, _lag(rd)))],
+            axis=-2), ramps[:, None], ramp_lo, ramp_hi)
+        m.add_rows(rt[:, :, s].transpose(0, 2, 1), su[:, None], -cap, cap)
 
     if instance.freq_mode != "off":
         _add_frequency_rows(m, vm, instance)
@@ -433,42 +405,57 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     r_w, f_w, m_w, d_const, m_v = fw.r_w, fw.f_w, fw.m_w, fw.d, fw.m_v
     alpha = tree.availability
     f_b = limits.f_base
-    S, T = len(tree.scenarios), instance.horizon
-    outage_of = [s.outage_unit for s in tree.scenarios]
 
-    for s in range(S):
-        for t in range(T):
-            dp = tree.outage_size[s, t]
-            # with no outage every row below reads (coefficients >= 0) . u
-            # >= a bound <= 0, which any commitment meets
-            if dp <= 0:
-                continue
-            a = alpha[s, :, t]
-            m_entries = [(vm.u[i, t], m_w[i]) for i in range(len(units))
-                         if a[i]]
-            r_entries = [(vm.u[i, t], r_w[i]) for i in range(len(units))
-                         if a[i]]
-            f_entries = [(vm.u[i, t], f_w[i]) for i in range(len(units))
-                         if a[i]]
-            # RoCoF: (rocof_lim/f_b) * (M + M_v) >= dP
-            m.add_ge(m_entries, dp * f_b / limits.rocof_lim - m_v)
-            # quasi steady state: (ss_lim/f_b) * (D + R) >= dP
-            m.add_ge(r_entries, dp * f_b / limits.ss_lim - d_const)
-            if instance.freq_mode == "bounds":
-                bounds = instance.surrogates[outage_of[s]]
-                m.add_ge(f_entries, bounds.f_lim)
-                m.add_ge(r_entries, bounds.r_lim)
-                m.add_ge(m_entries, bounds.m_lim - m_v)
-            else:
-                fit = instance.surrogates[outage_of[s]]
-                t3, = m.add_vars(1, -INF, INF)
-                for seg in fit.segments:
-                    entries = [(t3, -1.0)]
-                    entries += [(idx, seg.a * coef) for idx, coef in r_entries]
-                    entries += [(idx, seg.b * coef) for idx, coef in f_entries]
-                    entries += [(idx, seg.c * coef) for idx, coef in m_entries]
-                    m.add_le(entries, -(seg.d + seg.c * m_v))
-                m.add_le([(t3, 1.0)], limits.nadir_lim)
+    # with no outage every row below reads (coefficients >= 0) . u >= a
+    # bound <= 0, which any commitment meets, so rows go only to the
+    # outage cells (s, t), in C order
+    cell_s, cell_t = np.nonzero(tree.outage_size > 0)
+    if not len(cell_s):
+        return
+    dp = tree.outage_size[cell_s, cell_t][:, None]
+    on = np.where(alpha[cell_s, :, cell_t] != 0, vm.u[:, cell_t].T,
+                  -1)[:, None]                            # (C, 1, I)
+    surrogates = [instance.surrogates[tree.scenarios[s].outage_unit]
+                  for s in cell_s]
+    # RoCoF: (rocof_lim/f_b) * (M + M_v) >= dP, and quasi steady state:
+    # (ss_lim/f_b) * (D + R) >= dP
+    w_rows = [m_w, r_w]
+    lo = [dp * f_b / limits.rocof_lim - m_v,
+          dp * f_b / limits.ss_lim - d_const]
+    if instance.freq_mode == "bounds":
+        w_rows += [f_w, r_w, m_w]
+        lo += [np.array([[b.f_lim, b.r_lim, b.m_lim - m_v]
+                         for b in surrogates])]
+        m.add_rows(on, np.stack(w_rows), np.hstack(lo), INF)
+        return
+    # per cell, each segment's a . R + b . F + c . (M + M_v) + d <= t3 and
+    # t3 <= nadir_lim, with one epigraph column t3 per cell
+    t3 = m.add_vars(len(cell_s), -INF, INF)
+    lo = np.hstack(lo)
+    for k, fit in enumerate(surrogates):
+        a, b, c, d = np.array([(g.a, g.b, g.c, g.d)
+                               for g in fit.segments]).T[..., None]
+        m.add_rows(on[k], np.stack(w_rows), lo[k], INF)
+        m.add_rows(np.hstack([t3[k], on[k, 0], on[k, 0], on[k, 0]]),
+                   np.hstack([-np.ones_like(a), a * r_w, b * f_w, c * m_w]),
+                   -INF, -(d + c * m_v)[:, 0])
+        m.add_rows(t3[k, None], 1.0, -INF, limits.nadir_lim)
+
+
+def _lag(cols: np.ndarray) -> np.ndarray:
+    """``cols`` an hour earlier on the last axis, -1 at the first hour."""
+    return np.concatenate([np.full(cols.shape[:-1] + (1,), -1),
+                           cols[..., :-1]], axis=-1)
+
+
+def _node_rows(*parts) -> tuple[np.ndarray, np.ndarray]:
+    """``(cols, vals)`` of rows over (n, t) holding the entries of
+    ``parts`` side by side; in each part ``(cols, vals)`` the two
+    broadcast together to (N, T, ...) and the further axes hold
+    entries."""
+    return tuple(np.concatenate([x.reshape(x.shape[:2] + (-1,)) for x in xs],
+                                axis=-1)
+                 for xs in zip(*(np.broadcast_arrays(*p) for p in parts)))
 
 
 def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:

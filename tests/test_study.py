@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gridfreq import study
 from gridfreq.freq_dynamics import (aggregate_params, fleet_damping,
                                     frequency_metrics)
+from gridfreq.nadir_linearization import enumerate_commitments
 from gridfreq.scenarios import ContingencyModel, WindScenario
 from gridfreq.study import (StudyConfig, StudyError, StudyTemplate,
                             _carry_state, day_instance, frequency_trace,
@@ -136,6 +139,34 @@ class TestRolling:
                           days=[on.days[1]])
         with pytest.raises(StudyError, match="unconstrained"):
             run_study(template, config(), prefix=bad)
+
+
+class TestCloudMembership:
+    def test_one_cloud_per_outage_unit(self, dual, monkeypatch):
+        d = dual[2].days[1]
+        calls = []
+
+        def counting(units, outage_unit, *args):
+            calls.append(outage_unit)
+            return enumerate_commitments(units, outage_unit, *args)
+
+        monkeypatch.setattr(study, "enumerate_commitments", counting)
+        study._assert_cloud_membership(d.instance, d.solution)
+        # two wind paths share the outage of g3
+        assert sum(sc.outage_unit == "g3"
+                   for sc in d.instance.tree.scenarios) == 2
+        assert calls == ["g3"]
+
+    def test_aggregate_off_the_cloud_is_refused(self, dual):
+        d = dual[2].days[1]
+        scen = next(s for s, sc in enumerate(d.instance.tree.scenarios)
+                    if sc.outage_unit == "g3")
+        m_sys = d.solution.m_sys.copy()
+        m_sys[scen, d.instance.tree.contingency_hour] += 1e-6
+        with pytest.raises(StudyError, match="realized aggregate for "
+                           "outage g3 not in the enumerated commitment set"):
+            study._assert_cloud_membership(
+                d.instance, replace(d.solution, m_sys=m_sys))
 
 
 class TestPosthoc:

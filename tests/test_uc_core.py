@@ -544,13 +544,14 @@ def study_day_bounds_instance(n_wind=None):
 
 def highs_input_digest(m):
     """sha256 of the arrays HighsBackend.solve hands to HiGHS."""
-    a = m.matrix().copy()
+    asm = m.assembly()
+    a = asm.csr.copy()
     a.sum_duplicates()
     a.sort_indices()
     h = hashlib.sha256(str(a.shape).encode())
     for arr in (m.c, np.array(m.is_int, dtype=np.int64), m.lb, m.ub, a.data,
                 a.indices.astype(np.int64), a.indptr.astype(np.int64),
-                np.array(m.row_lo), np.array(m.row_hi)):
+                asm.row_lo, asm.row_hi):
         h.update(arr.tobytes())
     return h.hexdigest()
 
