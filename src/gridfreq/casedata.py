@@ -188,7 +188,5 @@ def study_template(n_days: int = 5, seed: int = STUDY_SEED):
         contingency_hour=CONTINGENCY_LOCAL_HOUR - 1,
         lam=1e-3, tau=1.0)
     return StudyTemplate(
-        network=study_network(n_days, seed), units=study_units(),
-        fleet=study_fleet(), limits=FrequencyLimits(), wind=wind,
-        contingency=contingency, initial=study_initial_state(),
-        t_turbine=7.0)
+        network=study_network(n_days, seed), system=study_system(),
+        wind=wind, contingency=contingency, initial=study_initial_state())

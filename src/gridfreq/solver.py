@@ -35,8 +35,9 @@ class SolveResult:
     x: np.ndarray | None
     objective: float | None
     mip_gap: float | None
-    # HiGHS's counts, read on the direct path only; the two MIP figures
-    # are None for an LP
+    # HiGHS's counts. The two MIP figures are None for an LP, and through
+    # milp also for a run that left no point; milp gives no simplex
+    # iterations.
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
     simplex_iterations: int | None = None
@@ -171,7 +172,8 @@ class HighsBackend:
         """Solve ``model`` with HiGHS's default options.
 
         ``start`` is a full column vector HiGHS tries as its first
-        incumbent; ``milp`` takes none.
+        incumbent. ``milp`` takes none and ignores it, the one difference
+        in what the two paths solve.
         """
         if _highs is None:
             return _solve_milp(model, mip_gap, time_limit)
@@ -288,14 +290,17 @@ def _solve_milp(model: SolverModel, mip_gap: float,
                integrality=asm.integrality, bounds=Bounds(model.lb, model.ub),
                options={"mip_rel_gap": mip_gap, "time_limit": time_limit,
                         "disp": False})
-    gap = getattr(res, "mip_gap", None)
+    gap = res.get("mip_gap")
+    # milp fills these for a MIP with a point, and sets them to None
+    # otherwise
+    counts = {k: res.get(k) for k in ("mip_dual_bound", "mip_node_count")}
     if res.status == 0:
-        return SolveResult("optimal", res.x, float(res.fun), gap)
+        return SolveResult("optimal", res.x, float(res.fun), gap, **counts)
     if res.status == 1 and res.x is not None:
-        return SolveResult("timeout", res.x, float(res.fun), gap)
+        return SolveResult("timeout", res.x, float(res.fun), gap, **counts)
     if res.status == 1:
-        return SolveResult("timeout", None, None, None)
-    return SolveResult("infeasible", None, None, None)
+        return SolveResult("timeout", None, None, None, **counts)
+    return SolveResult("infeasible", None, None, None, **counts)
 
 
 def get_backend() -> HighsBackend:

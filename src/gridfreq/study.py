@@ -22,7 +22,7 @@ from .freq_dynamics import (AggregateParams, aggregate_params, check_limits,
 from .nadir_linearization import (enumerate_commitments, extract_bounds,
                                   fit_pwl, make_nadir_fn, nadir_grid)
 from .scenarios import ContingencyModel, WindScenario, build_tree
-from .system import ConverterFleet, FrequencyLimits, SynchronousUnit, s_base
+from .system import PowerSystem
 from .uc_core import (InitialState, Network, UcInstance, UcSolution,
                       build_model, dump_solution, solve)
 
@@ -79,17 +79,10 @@ class StudyTemplate:
     """Everything constant across days of one study."""
 
     network: Network           # demand over the full study horizon
-    units: list[SynchronousUnit]
-    fleet: ConverterFleet
-    limits: FrequencyLimits
+    system: PowerSystem
     wind: list[WindScenario]   # realizations over the full horizon
     contingency: ContingencyModel   # local (within-day) outage placement
     initial: InitialState
-    t_turbine: float = 7.0
-
-    @property
-    def s_base(self) -> float:
-        return s_base(self.units, self.fleet)
 
 
 @dataclass
@@ -150,13 +143,14 @@ def day_instance(template: StudyTemplate, day: int, freq_mode: str,
                  initial: InitialState, surrogates: dict | None
                  ) -> UcInstance:
     day_net, day_wind = _slice_day(template, day)
-    tree = build_tree(day_wind, template.contingency, template.units,
-                      template.s_base, 24)
-    return UcInstance(network=day_net, units=template.units,
-                      fleet=template.fleet, tree=tree,
-                      limits=template.limits, horizon=24,
-                      t_turbine=template.t_turbine, freq_mode=freq_mode,
-                      surrogates=surrogates, initial=initial)
+    system = template.system
+    tree = build_tree(day_wind, template.contingency, system.units,
+                      system.s_base, 24)
+    return UcInstance(network=day_net, units=system.units,
+                      fleet=system.fleet, tree=tree, limits=system.limits,
+                      horizon=24, t_turbine=system.t_turbine,
+                      freq_mode=freq_mode, surrogates=surrogates,
+                      initial=initial)
 
 
 def _carry_state(units, days: list[DayResult]) -> InitialState:
@@ -221,12 +215,13 @@ def run_study(template: StudyTemplate, config: StudyConfig,
             != template.contingency.contingency_hour):
         raise StudyError(
             "template contingency hour does not match the study config")
+    system = template.system
     surrogates = None
     if config.freq_mode != "off":
         surrogates = prepare_surrogates(
-            template.units, template.fleet, template.limits,
-            template.t_turbine, template.contingency.credible_outages,
-            config.freq_mode, config.seed)
+            system.units, system.fleet, system.limits, system.t_turbine,
+            template.contingency.credible_outages, config.freq_mode,
+            config.seed)
 
     days: list[DayResult] = []
     state = template.initial
@@ -238,7 +233,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
                 raise StudyError("prefix days must be unconstrained")
             days.append(d)
         if days:
-            state = _carry_state(template.units, days)
+            state = _carry_state(system.units, days)
         first_day = n_shared + 1
     for day in range(first_day, config.n_days + 1):
         mode = ("off" if config.freq_mode == "off"
@@ -253,7 +248,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
             _assert_cloud_membership(inst, sol)
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,
                               solution=sol))
-        state = _carry_state(template.units, days)
+        state = _carry_state(system.units, days)
     result = StudyResult(config=config, template=template, days=days)
     if config.out_dir is not None:
         for d in days:
@@ -319,13 +314,13 @@ def frequency_trace(sol: UcSolution, instance: UcInstance, scenario: int,
 
 def _inertia_series(result: StudyResult) -> np.ndarray:
     """Synchronous inertia per hour in the no-contingency branch."""
-    template = result.template
-    m_w = frequency_weights(template.units, template.fleet).m_w
+    system = result.template.system
+    m_w = frequency_weights(system.units, system.fleet).m_w
     return m_w @ result.solution_u()
 
 
 def _largest_outage(template: StudyTemplate) -> str:
-    caps = {u.id: u.p_max for u in template.units}
+    caps = {u.id: u.p_max for u in template.system.units}
     return max(template.contingency.credible_outages,
                key=lambda uid: caps[uid])
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import inspect
 import json
 import os
 import time
@@ -32,8 +31,7 @@ from . import solver
 from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
 from .solver import INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
-                     SynchronousUnit, load_system, s_base,
-                     system_from_dict)
+                     SynchronousUnit, load_system, system_from_dict)
 
 FREQ_MODES = ("off", "bounds", "pwl")
 
@@ -140,10 +138,6 @@ class UcInstance:
     initial: InitialState = field(default_factory=InitialState)
 
     @property
-    def s_base(self) -> float:
-        return s_base(self.units, self.fleet)
-
-    @property
     def m_v(self) -> float:
         return frequency_weights(self.units, self.fleet).m_v
 
@@ -222,9 +216,10 @@ class UcSolution:
     m_sys: np.ndarray | None = None   # (S, T) synchronous inertia
     cost_breakdown: dict | None = None
     max_residual: float | None = None
-    # HiGHS's counts for the full run (None through milp), or the proof's
-    # bound and 0 nodes and iterations for a day proven without one; and
-    # the simplex iterations of the reduced MILP plus the completion LP
+    # HiGHS's counts for the full run, or the proof's bound and 0 nodes
+    # and iterations for a day proven without one; and the simplex
+    # iterations of the reduced MILP plus the completion LP (the
+    # iterations are None through milp)
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
     simplex_iterations: int | None = None
@@ -494,14 +489,14 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
           time_limit: float = 600.0, backend=None) -> UcSolution:
     """Optimize a built model and extract the solution with diagnostics.
 
-    When the scenario tree has outage branches and the backend takes a
-    start, ``_start_point`` first gives a complete point of the day and
-    its gap to a proven lower bound. A point within ``mip_gap`` is
-    returned as ``optimal`` with no full run: it records the bound as
-    ``mip_dual_bound``, the proven gap as ``mip_gap``, and 0 nodes and
-    simplex iterations. Otherwise the full MILP runs from the point.
-    Every solve this takes gets what is left of ``time_limit``, and none
-    writes ``built``.
+    When the scenario tree has outage branches, ``_start_point`` first
+    gives a complete point of the day and its gap to a proven lower
+    bound. A point within ``mip_gap`` is returned as ``optimal`` with no
+    full run: it records the bound as ``mip_dual_bound``, the proven gap
+    as ``mip_gap``, and 0 nodes and simplex iterations. Otherwise the
+    full MILP runs with the point as ``start``, which the ``milp``
+    fallback ignores. Every solve this takes gets what is left of
+    ``time_limit``, and none writes ``built``.
     """
     backend = backend or get_backend()
     t0 = time.perf_counter()
@@ -510,9 +505,7 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
         return max(0.0, time_limit - (time.perf_counter() - t0))
 
     point, start_iterations = None, None
-    if (_takes_start(backend)
-            and any(s.outage_unit is not None
-                    for s in built.instance.tree.scenarios)):
+    if any(s.outage_unit is not None for s in built.instance.tree.scenarios):
         point, start_iterations = _start_point(built, mip_gap, left, backend)
     if point is not None and point.mip_gap <= mip_gap:
         res = point
@@ -522,18 +515,6 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
     sol = _extract(built, res)
     sol.start_iterations = start_iterations
     return sol
-
-
-def _takes_start(backend) -> bool:
-    """Whether ``backend.solve`` can use a start: HiGHS is called directly
-    (``milp`` takes none), and ``solve`` accepts the ``start`` keyword, by
-    name or through ``**kwargs``. ``inspect.signature`` sees through a
-    ``functools.wraps`` wrapper, so a tracing wrapper around
-    ``HighsBackend.solve`` still gets the start."""
-    if solver._highs is None:
-        return False
-    params = inspect.signature(backend.solve).parameters.values()
-    return any(p.kind is p.VAR_KEYWORD or p.name == "start" for p in params)
 
 
 def _no_outage_tree(tree: ScenarioTree) -> ScenarioTree:
@@ -564,10 +545,10 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
 
     Returns the point as the result of a day with no full run: the bound
     as ``mip_dual_bound``, the gap to it relative to the point's objective
-    (to 1 when that is 0) as ``mip_gap``, inf with no dual bound
-    (``milp``), and 0 nodes and simplex iterations; None when either
-    solve finds no point. Also returns the simplex iterations of both
-    solves. ``left()`` gives each solve its time limit.
+    (to 1 when that is 0) as ``mip_gap``, inf with no dual bound, and 0
+    nodes and simplex iterations; None when either solve finds no point.
+    Also returns the simplex iterations of both solves. ``left()`` gives
+    each solve its time limit.
     """
     inst, m, vm = built.instance, built.model, built.vars
     reduced = build_model(replace(inst, tree=_no_outage_tree(inst.tree),

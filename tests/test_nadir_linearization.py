@@ -150,8 +150,9 @@ def test_exact_bounds_frozen(limits):
             synthetic_fleet(12), "u1",
             ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0),
             limits, 7.0),
-        **{f"study/{uid}": enumerate_commitments(t.units, uid, t.fleet,
-                                                 t.limits, t.t_turbine)
+        **{f"study/{uid}": enumerate_commitments(
+            t.system.units, uid, t.system.fleet, t.system.limits,
+            t.system.t_turbine)
            for uid in t.contingency.credible_outages},
     }
     expected = {

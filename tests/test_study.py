@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridfreq import study
+from gridfreq import study, system
 from gridfreq.freq_dynamics import (aggregate_params, fleet_damping,
                                     frequency_metrics)
 from gridfreq.nadir_linearization import enumerate_commitments
@@ -13,7 +13,7 @@ from gridfreq.scenarios import ContingencyModel, WindScenario
 from gridfreq.study import (StudyConfig, StudyError, StudyTemplate,
                             _carry_state, day_instance, frequency_trace,
                             posthoc_gaps, report, run_study)
-from gridfreq.system import ConverterFleet, FrequencyLimits
+from gridfreq.system import ConverterFleet, PowerSystem
 from gridfreq.uc_core import InitialState, Line, Network, WindFarm, \
     build_model, solve
 
@@ -52,9 +52,10 @@ def small_template():
     cm = ContingencyModel(credible_outages=["g3"], contingency_hour=18,
                           lam=1e-3)
     return StudyTemplate(
-        network=net, units=units,
-        fleet=ConverterFleet(vsm_capacity=80.0, droop_capacity=40.0),
-        limits=FrequencyLimits(), wind=wind, contingency=cm,
+        network=net,
+        system=PowerSystem(units=units, fleet=ConverterFleet(
+            vsm_capacity=80.0, droop_capacity=40.0)),
+        wind=wind, contingency=cm,
         initial=InitialState(commitment={"g1": 1}, power={"g1": 100.0}))
 
 
@@ -212,7 +213,8 @@ class TestPosthoc:
         t_c = 18
         online = (d.solution.u[:, t_c]
                   * inst.tree.availability[scen, :, t_c]) > 0
-        d_const = fleet_damping(inst.units, inst.fleet, inst.s_base)
+        d_const = fleet_damping(inst.units, inst.fleet,
+                                system.s_base(inst.units, inst.fleet))
         agg = aggregate_params(inst.units, online, inst.fleet,
                                inst.t_turbine, d_override=d_const)
         met = frequency_metrics(agg, inst.tree.outage_size[scen, t_c],

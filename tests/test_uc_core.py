@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridfreq import solver, uc_core
+from gridfreq import solver, system, uc_core
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
 from gridfreq.nadir_linearization import (NadirBounds, PwlFit, PwlSegment,
@@ -261,7 +261,7 @@ def inst_m_v(units, fleet):
 def test_aggregates_match_definitions():
     inst = small_instance()
     sol = solve(build_model(inst), mip_gap=1e-9)
-    s_base = inst.s_base
+    s_base = system.s_base(inst.units, inst.fleet)
     units = inst.units
     alpha = inst.tree.availability
     for s in range(len(inst.tree.scenarios)):
@@ -536,8 +536,9 @@ def study_day_bounds_instance(n_wind=None):
         template = replace(template, wind=[
             replace(w, probability=1.0 / n_wind)
             for w in template.wind[:n_wind]])
+    grid = template.system
     surrogates = prepare_surrogates(
-        template.units, template.fleet, template.limits, template.t_turbine,
+        grid.units, grid.fleet, grid.limits, grid.t_turbine,
         template.contingency.credible_outages, "bounds")
     return day_instance(template, 1, "bounds", template.initial, surrogates)
 
@@ -710,6 +711,15 @@ def test_direct_highs_matches_milp(case, monkeypatch):
         assert direct.objective.hex() == fallback.objective.hex()
         assert direct.x.tobytes() == fallback.x.tobytes()
     assert direct.mip_gap == fallback.mip_gap
+    counts = [(r.mip_dual_bound, r.mip_node_count)
+              for r in (direct, fallback)]
+    if not m.assembly().integrality.any():
+        assert counts == [(None, None)] * 2
+    elif direct.has_solution:
+        assert counts[0] == counts[1]
+    else:
+        # milp reads HiGHS's MIP counts only off a run that left a point
+        assert counts[1] == (None, None)
 
 
 class SpyBackend(HighsBackend):
@@ -758,11 +768,11 @@ def test_start_on_a_study_day(monkeypatch):
     pytest.param(small_instance, True, 3, marks=needs_highs),
     pytest.param(lambda: small_instance(contingency=False), True, 1,
                  marks=needs_highs),
-    (small_instance, False, 1),
+    (small_instance, False, 3),
 ], ids=["outages", "no_outages", "milp_fallback"])
 def test_start_solves(make, highs, calls, monkeypatch):
     """The reduced MILP and the completion LP run only when there are
-    outage branches and HiGHS takes a start."""
+    outage branches, on either HiGHS path."""
     if not highs:
         monkeypatch.setattr(solver, "_highs", None)
     backend = SpyBackend()
@@ -775,9 +785,9 @@ def test_start_solves(make, highs, calls, monkeypatch):
     assert np.array_equal(built.model.lb, lb)
     assert np.array_equal(built.model.ub, ub)
     assert ("start" in backend.calls[-1]) == (calls == 3)
-    # HiGHS reports its counts on the direct path only
+    # milp reports HiGHS's node count but not its simplex iterations
     assert (sol.simplex_iterations is not None) == highs
-    assert (sol.mip_node_count is not None) == highs
+    assert sol.mip_node_count is not None
 
 
 @needs_highs
@@ -861,14 +871,6 @@ def test_proof_or_full_run(make, mip_gap, calls):
             (sol.objective - sol.mip_dual_bound) / sol.objective)
 
 
-class OldSignature:
-    """A backend whose solve takes only mip_gap and time_limit."""
-
-    def solve(self, model, mip_gap=1e-4, time_limit=600.0):
-        return HighsBackend().solve(model, mip_gap=mip_gap,
-                                    time_limit=time_limit)
-
-
 class Wrapped:
     """A backend that wraps HighsBackend.solve, as a tracer does."""
 
@@ -881,12 +883,10 @@ class Wrapped:
         self.solve = solve
 
 
-@needs_highs
-@pytest.mark.parametrize("backend, calls", [
-    (OldSignature, 1), (Wrapped, 3)], ids=["old_signature", "wrapped"])
-def test_start_needs_a_start_keyword(backend, calls, monkeypatch):
-    """Only a solve that accepts the start keyword gets the start and
-    the two solves that build it."""
+@pytest.mark.parametrize("backend", [Wrapped], ids=["wrapped"])
+def test_start_needs_a_start_keyword(backend, monkeypatch):
+    """A solve wrapped as a tracer wraps it passes the start keyword
+    through, and gets the start and the two solves that build it."""
     backend = backend()
     seen = []
     solve_of = backend.solve
@@ -899,8 +899,31 @@ def test_start_needs_a_start_keyword(backend, calls, monkeypatch):
     monkeypatch.setattr(backend, "solve", counting)
     sol = solve(build_model(small_instance()), mip_gap=1e-9, backend=backend)
     assert sol.status == "optimal"
-    assert len(seen) == calls
-    assert ("start" in seen[-1]) == (calls == 3)
+    assert len(seen) == 3
+    assert "start" in seen[-1]
+
+
+@needs_highs
+@pytest.mark.parametrize("make", [
+    small_bounds_instance, lambda: study_day_bounds_instance(1)],
+    ids=["small_bounds", "study_day_1"])
+def test_proven_day_matches_on_milp(make, monkeypatch):
+    """A day proven from its no-outage part takes the same two solves on
+    the direct path and the milp fallback, and comes back bit for bit the
+    same."""
+    results = []
+    for highs in (solver._highs, None):
+        monkeypatch.setattr(solver, "_highs", highs)
+        backend = SpyBackend()
+        results.append(solve(build_model(make()), mip_gap=1e-2,
+                             backend=backend))
+        assert len(backend.calls) == 2
+    direct, fallback = results
+    assert direct.status == fallback.status == "optimal"
+    assert direct.objective.hex() == fallback.objective.hex()
+    assert np.array_equal(direct.u, fallback.u)
+    assert direct.mip_gap == fallback.mip_gap
+    assert direct.mip_dual_bound == fallback.mip_dual_bound
 
 
 def test_no_outage_tree():
