@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -71,11 +70,6 @@ class NadirBounds:
         with open(path, "w") as fh:
             json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "NadirBounds":
-        with open(path) as fh:
-            return cls(**json.load(fh))
 
 
 @dataclass
@@ -391,34 +385,3 @@ def make_nadir_fn(d: float, t_turbine: float, delta_p: float,
         return nadir_closed_form(np.asarray(m, dtype=float) + m_v, d,
                                  r_g, f_g, t_turbine, delta_p, limits.f_base)
     return fn
-
-
-def benchmark_linearizations(units: Sequence[SynchronousUnit],
-                             outage_unit: str, fleet: ConverterFleet,
-                             limits: FrequencyLimits,
-                             t_turbine: float) -> dict:
-    """Wall-clock comparison of bound extraction vs 3- and 4-segment PWL
-    fits on an 8-per-axis grid.
-
-    The 500-restart budget is sized for stable near-global fits; the
-    fitting objective is nonconvex and the restart count is the knob that
-    buys fit quality.
-    """
-    t0 = time.perf_counter()
-    cloud = enumerate_commitments(units, outage_unit, fleet, limits,
-                                  t_turbine)
-    bounds = extract_bounds(cloud, limits)
-    t_bounds = time.perf_counter() - t0
-
-    fn = make_nadir_fn(cloud.d, t_turbine, cloud.delta_p, limits,
-                       m_v=cloud.m_v)
-    grid = nadir_grid(cloud, 8)
-    pwl_times = {}
-    fits = {}
-    for k in (3, 4):
-        t0 = time.perf_counter()
-        fits[k] = fit_pwl(fn, grid, k, restarts=500, seed=0)
-        pwl_times[k] = time.perf_counter() - t0
-    return {"bounds": bounds, "bounds_time_s": t_bounds,
-            "pwl_fits": fits, "pwl_times_s": pwl_times,
-            "n_points": len(cloud)}

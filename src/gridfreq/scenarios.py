@@ -71,10 +71,6 @@ class ScenarioTree:
     # contingency cell of contingency scenarios
     outage_size: np.ndarray = field(repr=False)
 
-    @property
-    def total_probability(self) -> float:
-        return sum(s.probability for s in self.scenarios)
-
 
 def contingency_probabilities(model: ContingencyModel
                               ) -> tuple[float, dict[str, float]]:

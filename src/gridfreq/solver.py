@@ -35,8 +35,8 @@ class SolveResult:
     x: np.ndarray | None
     objective: float | None
     mip_gap: float | None
-    # HiGHS's counts. The two MIP figures are None for an LP, and through
-    # milp also for a run that left no point; milp gives no simplex
+    # HiGHS's counts. The two MIP figures come only with a MIP's point
+    # and are None otherwise, on both paths; milp gives no simplex
     # iterations.
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None
@@ -128,15 +128,19 @@ class SolverModel:
             np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel()))
         self._assembly = None
 
+    def _rows(self) -> RowBlock:
+        """Every row block as one."""
+        blocks = [RowBlock(*[np.zeros(0, int)] * 2, *[np.zeros(0)] * 3)]
+        return RowBlock(*(np.concatenate(x) for x in zip(*(
+            (b.row, b.col, b.coef, b.lo, b.hi)
+            for b in blocks + self.row_entries))))
+
     def assembly(self) -> Assembly:
         if self._assembly is None:
-            blocks = [RowBlock(*[np.zeros(0, int)] * 2, *[np.zeros(0)] * 3)]
-            row, col, coef, lo, hi = (np.concatenate(x) for x in zip(*(
-                (b.row, b.col, b.coef, b.lo, b.hi)
-                for b in blocks + self.row_entries)))
-            csr = sp.csr_matrix((coef, (row, col)),
+            b = self._rows()
+            csr = sp.csr_matrix((b.coef, (b.row, b.col)),
                                 shape=(self.n_rows, self.n_vars))
-            self._assembly = Assembly(csr, csr.tocsc(), lo, hi,
+            self._assembly = Assembly(csr, csr.tocsc(), b.lo, b.hi,
                                       np.array(self.is_int, dtype=np.int32))
         return self._assembly
 
@@ -152,6 +156,24 @@ class SolverModel:
         m = copy.copy(self)
         m.lb, m.ub = self.lb.copy(), self.ub.copy()
         m.lb[cols] = m.ub[cols] = vals
+        return m
+
+    def without(self, cols) -> SolverModel:
+        """A new model with ``cols`` removed, and with them every row that
+        reads one. What is left keeps its order, data and bounds, so a
+        column before every removed one keeps its index; this model is not
+        written."""
+        keep = np.ones(self.n_vars, dtype=bool)
+        keep[cols] = False
+        b = self._rows()
+        left = np.ones(len(b.lo), dtype=bool)
+        left[b.row[~keep[b.col]]] = False
+        e = left[b.row]
+        m = SolverModel(self.lb[keep], self.ub[keep], self.c[keep],
+                        [f for f, k in zip(self.is_int, keep) if k])
+        m.row_entries.append(RowBlock(
+            (np.cumsum(left) - 1)[b.row[e]], (np.cumsum(keep) - 1)[b.col[e]],
+            b.coef[e], b.lo[left], b.hi[left]))
         return m
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
@@ -258,14 +280,14 @@ def _run(h, is_mip: bool) -> SolveResult:
     status = h.getModelStatus()
     info = h.getInfo()
     counts = {"simplex_iterations": info.simplex_iteration_count}
-    if is_mip:
-        counts.update(mip_dual_bound=info.mip_dual_bound,
-                      mip_node_count=info.mip_node_count)
+    # as in milp, a MIP's bound and node count come only with a point
+    point = dict(counts, mip_dual_bound=info.mip_dual_bound,
+                 mip_node_count=info.mip_node_count) if is_mip else counts
     gap = info.mip_gap if is_mip else None
     statuses = _highs.HighsModelStatus
     if ran and status == statuses.kOptimal:
         return SolveResult("optimal", np.array(h.getSolution().col_value),
-                           info.objective_function_value, gap, **counts)
+                           info.objective_function_value, gap, **point)
     if status in (statuses.kTimeLimit, statuses.kIterationLimit):
         # as in milp: an LP that stops early, or a MIP without an
         # incumbent, leaves no point
@@ -273,7 +295,7 @@ def _run(h, is_mip: bool) -> SolveResult:
                 and info.objective_function_value != _highs.kHighsInf):
             return SolveResult("timeout",
                                np.array(h.getSolution().col_value),
-                               info.objective_function_value, gap, **counts)
+                               info.objective_function_value, gap, **point)
         return SolveResult("timeout", None, None, None, **counts)
     return SolveResult("infeasible", None, None, None, **counts)
 

@@ -344,7 +344,8 @@ def report(result_off: StudyResult, result_on: StudyResult,
                          int(u_on[:, t].sum())])
 
     m_off, m_on = _inertia_series(result_off), _inertia_series(result_on)
-    m_v = result_on.days[0].instance.m_v
+    system = result_on.template.system
+    m_v = frequency_weights(system.units, system.fleet).m_v
     with open(out / "inertia.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["hour", "m_sync_off_pu_s", "m_sync_on_pu_s",
@@ -416,7 +417,7 @@ def report(result_off: StudyResult, result_on: StudyResult,
                          f"{df_on[i]:.6f}"])
 
     manifest = {
-        "config": asdict(cfg),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
         "seed": cfg.seed,
         "solver": "highs",
         "versions": {"gridfreq": __version__,

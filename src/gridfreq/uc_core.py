@@ -137,10 +137,6 @@ class UcInstance:
     surrogates: dict[str, NadirBounds | PwlFit] | None = None
     initial: InitialState = field(default_factory=InitialState)
 
-    @property
-    def m_v(self) -> float:
-        return frequency_weights(self.units, self.fleet).m_v
-
     def validate(self) -> None:
         if self.freq_mode not in FREQ_MODES:
             raise UcModelError(f"freq_mode must be one of {FREQ_MODES}")
@@ -517,27 +513,18 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
     return sol
 
 
-def _no_outage_tree(tree: ScenarioTree) -> ScenarioTree:
-    """``tree``'s no-outage scenarios: every wind path, at its own wind and
-    its probability in ``tree``, not renormalised."""
-    keep = [s for s, scen in enumerate(tree.scenarios)
-            if scen.outage_unit is None]
-    return replace(tree, scenarios=[tree.scenarios[s] for s in keep],
-                   availability=tree.availability[keep],
-                   outage_size=tree.outage_size[keep])
-
-
 def _start_point(built: BuiltModel, mip_gap: float, left,
                  backend) -> tuple[SolveResult | None, int | None]:
     """A complete feasible point of ``built`` and its proven gap.
 
-    The reduced problem is the day on ``_no_outage_tree`` plus the full
-    tree's frequency rows, which read only u. It keeps the full day's
-    first stage and costs, and drops the outage branches' rows. Those
+    The reduced problem is the built day without the outage branches'
+    recourse columns and the rows that read them: it keeps the first
+    stage, the no-outage branches at their full-tree probabilities, the
+    frequency rows, which read only u, and every cost left. The outage
     branches have no non-anticipativity rows, so the reduced MILP's dual
-    bound plus each outage-branch recourse column's cost at its cheaper
-    bound is a lower bound on the full day; down reserve's negative cost
-    makes that term negative.
+    bound plus each dropped column's cost at its cheaper bound is a lower
+    bound on the full day; down reserve's negative cost makes that term
+    negative.
 
     The reduced MILP's rounded u, fixed in a ``fixed`` copy of the full
     model, leaves an LP whose solution is the point; ``built.model`` is
@@ -551,14 +538,15 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     each solve its time limit.
     """
     inst, m, vm = built.instance, built.model, built.vars
-    reduced = build_model(replace(inst, tree=_no_outage_tree(inst.tree),
-                                  freq_mode="off"))
-    if inst.freq_mode != "off":
-        _add_frequency_rows(reduced.model, reduced.vars, inst)
-    res = backend.solve(reduced.model, mip_gap=mip_gap, time_limit=left())
+    out = [s for s, scen in enumerate(inst.tree.scenarios)
+           if scen.outage_unit is not None]
+    cols = np.concatenate([v[:, out].ravel() for v in (
+        vm.r_up, vm.r_dn, vm.spill, vm.shed, vm.delta_rt)])
+    # u comes first, so it keeps its indices in the reduced model
+    res = backend.solve(m.without(cols), mip_gap=mip_gap, time_limit=left())
     bound, counts = res.mip_dual_bound, [res.simplex_iterations]
     if res.has_solution:
-        u = np.rint(res.x[reduced.vars.u.ravel()])
+        u = np.rint(res.x[vm.u.ravel()])
         res = backend.solve(m.fixed(vm.u.ravel(), u), mip_gap=mip_gap,
                             time_limit=left())
         counts.append(res.simplex_iterations)
@@ -567,10 +555,6 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
         return None, iterations
     gap = INF
     if bound is not None:
-        out = [s for s, scen in enumerate(inst.tree.scenarios)
-               if scen.outage_unit is not None]
-        cols = np.concatenate([v[:, out].ravel() for v in (
-            vm.r_up, vm.r_dn, vm.spill, vm.shed, vm.delta_rt)])
         cols = cols[m.c[cols] != 0]     # 0 * inf is nan
         c = m.c[cols]
         bound += float(np.minimum(c * m.lb[cols], c * m.ub[cols]).sum())
@@ -618,25 +602,25 @@ def _commitment_patterns(built: BuiltModel):
 
     Returns ``(cols, vals, passes)``: the u, y and z columns, one row of
     their fixed values per pattern, and whether each row keeps u within its
-    bounds and satisfies, within ``_FEAS_TOL``, every row with no entry
-    outside these columns. A pattern that does not pass is infeasible; one
-    that passes needs an LP. Patterns are screened ``_SCREEN_BLOCK`` at a
-    time.
+    bounds and satisfies, within ``_FEAS_TOL``, every row of the built model
+    without its other columns, which are the rows over these columns alone.
+    A pattern that does not pass is infeasible; one that passes needs an
+    LP. Patterns are screened ``_SCREEN_BLOCK`` at a time.
     """
     m, vm, inst = built.model, built.vars, built.instance
     I, T = vm.u.shape
     n = I * T
     cols = np.concatenate([vm.u.ravel(), vm.y.ravel(), vm.z.ravel()])
-    asm = m.assembly()
-    a = asm.csr
     other = np.ones(m.n_vars, dtype=bool)
     other[cols] = False
-    rows = np.flatnonzero(a[:, other].getnnz(axis=1) == 0)
+    # the rows over these columns alone; u, y and z come first, so they
+    # keep their indices and order
+    sub = m.without(np.flatnonzero(other))
+    asm = sub.assembly()
     # u's bounds screen as identity rows below the fixed rows
-    g = np.vstack([a[rows][:, cols].toarray(), np.eye(n, len(cols))])
-    u_cols = vm.u.ravel()
-    lo = np.concatenate([asm.row_lo[rows], m.lb[u_cols]])
-    hi = np.concatenate([asm.row_hi[rows], m.ub[u_cols]])
+    g = np.vstack([asm.csr.toarray(), np.eye(n, len(cols))])
+    lo = np.concatenate([asm.row_lo, sub.lb[vm.u.ravel()]])
+    hi = np.concatenate([asm.row_hi, sub.ub[vm.u.ravel()]])
     u0 = np.array([[int(inst.initial.commitment.get(unit.id, 0))]
                    for unit in inst.units])
     # bit j of pattern k, most significant first, as itertools.product
@@ -686,8 +670,10 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
             f"{I * T} binary decisions exceed the brute-force limit of 16")
     built = build_model(instance)
     m = built.model
-    # cleared before _commitment_patterns builds the shared assembly
+    # cleared before the assembly is built, here and once, for the workers
+    # to share
     m.is_int = [False] * m.n_vars
+    m.assembly()
     backend = backend or get_backend()
     series = (getattr(backend, "solve_fixed", None)
               or functools.partial(solver.solve_each, backend))

@@ -123,7 +123,7 @@ class TestLinearize:
         assert main(["linearize", "--method", "bounds",
                      "--system", str(case_dir / "system.json"),
                      "--outage", "g3", "--out", str(out)]) == 0
-        bounds = NadirBounds.from_json(out)
+        bounds = NadirBounds(**json.loads(out.read_text()))
         assert bounds.delta_p == pytest.approx(30.0 / 470.0)
         assert "wrote" in capsys.readouterr().err
 

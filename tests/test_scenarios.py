@@ -54,7 +54,7 @@ class TestBuildTree:
         assert len(tree.scenarios) == (2 + 1) * 3
         # no-contingency branch comes first
         assert all(s.outage_unit is None for s in tree.scenarios[:3])
-        assert 0.999 <= tree.total_probability <= 1.0
+        assert 0.999 <= sum(s.probability for s in tree.scenarios) <= 1.0
 
     def test_availability_and_outage_size(self):
         units = four_units()

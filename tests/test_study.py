@@ -239,3 +239,16 @@ class TestReport:
             assert day["mip_gap"] <= on.config.mip_gap
         gaps = (tmp_path / "gaps.csv").read_text().splitlines()
         assert gaps[1].startswith("g3,43,")
+
+    def test_manifest_does_not_name_the_output(self, dual, tmp_path):
+        """One study reported from runs written to two directories gives
+        byte-identical manifests."""
+        template, off, on = dual
+        manifests = []
+        for where in (tmp_path / "a", tmp_path / "b"):
+            run = replace(on, config=replace(
+                on.config, out_dir=str(where / "solutions_on")))
+            report(off, run, where)
+            manifests.append((where / "study_manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert "out_dir" not in json.loads(manifests[0])["config"]

@@ -711,15 +711,12 @@ def test_direct_highs_matches_milp(case, monkeypatch):
         assert direct.objective.hex() == fallback.objective.hex()
         assert direct.x.tobytes() == fallback.x.tobytes()
     assert direct.mip_gap == fallback.mip_gap
+    # HiGHS's MIP counts come only with a MIP's point
     counts = [(r.mip_dual_bound, r.mip_node_count)
               for r in (direct, fallback)]
-    if not m.assembly().integrality.any():
-        assert counts == [(None, None)] * 2
-    elif direct.has_solution:
-        assert counts[0] == counts[1]
-    else:
-        # milp reads HiGHS's MIP counts only off a run that left a point
-        assert counts[1] == (None, None)
+    assert counts[0] == counts[1]
+    if not (direct.has_solution and m.assembly().integrality.any()):
+        assert counts[0] == (None, None)
 
 
 class SpyBackend(HighsBackend):
@@ -926,18 +923,52 @@ def test_proven_day_matches_on_milp(make, monkeypatch):
     assert direct.mip_dual_bound == fallback.mip_dual_bound
 
 
-def test_no_outage_tree():
-    inst = small_instance()
-    tree = uc_core._no_outage_tree(inst.tree)
-    no_outage = [s for s in inst.tree.scenarios if s.outage_unit is None]
-    assert tree.scenarios == no_outage
-    assert [s.wind_id for s in tree.scenarios] == ["s1", "s2"]
-    # the full tree's probabilities, not renormalised
-    assert sum(s.probability for s in tree.scenarios) < 1.0
-    assert tree.availability.shape == (2, 2, inst.horizon)
-    assert tree.availability.all()
-    assert not tree.outage_size.any()
-    assert (tree.horizon, tree.unit_ids) == (inst.horizon, ["g1", "g2"])
+class FirstModel(Exception):
+    pass
+
+
+class StopAtFirstSolve:
+    """A backend that raises its first model as ``FirstModel``."""
+
+    def solve(self, model, **kwargs):
+        raise FirstModel(model)
+
+
+# The reduced day, the first model the proof solves: the built day without
+# its outage branches' recourse columns and the rows that read them.  It is
+# the day built on its no-outage scenarios alone, at their full-tree
+# probabilities, plus the full tree's frequency rows, and these digests
+# are that model's.
+@pytest.mark.parametrize("make, digest", [
+    (small_instance,
+     "0e65933b3738e11879e7a59229682d106b9a006fe938dd4c32f4d71c5e7f2863"),
+    (small_bounds_instance,
+     "98788735881301394751355bd703021a738922b3b213dc75518a63484b8aa39b"),
+    (study_day_bounds_instance,
+     "6107ec8176d19def8f30280542d8466443544ceeb508f43302d8fc55525ac956"),
+    (small_pwl_instance,
+     "b34cde57a49b133afc5c1fec9cf9acf375292cf4a0db5cc0f1b9c26553f6c16f"),
+    (functools.partial(edge_instance, "off"),
+     "2b561537054c071e398277b7707251718a1abc0e3827ed38927ee028af9f7f27"),
+    (functools.partial(edge_instance, "bounds"),
+     "90caa87d0bd39371fc7810a0372ed0e4e7e192bf9d14d4eab3ab24fba5935ae7"),
+    (functools.partial(edge_instance, "pwl"),
+     "2ff22fc402fb3d0618019894910375006d52a3707b8a5bcd40ba8a5d94f02875"),
+], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
+        "edge_off", "edge_bounds", "edge_pwl"])
+def test_reduced_day_fingerprint_frozen(make, digest, monkeypatch):
+    """The proof cuts its reduced day out of the built model and builds
+    no model of its own."""
+    built = build_model(make())
+    full = highs_input_digest(built.model)
+    built_in_solve = []
+    monkeypatch.setattr(uc_core, "build_model",
+                        lambda *args: built_in_solve.append(args))
+    with pytest.raises(FirstModel) as first:
+        solve(built, mip_gap=1e-2, backend=StopAtFirstSolve())
+    assert highs_input_digest(first.value.args[0]) == digest
+    assert built_in_solve == []
+    assert highs_input_digest(built.model) == full
 
 
 def criterion_6_instances():
@@ -1040,4 +1071,4 @@ def test_load_shipped_instance():
     assert len(inst.tree.scenarios) == 50
     assert len(inst.units) == 8
     assert inst.horizon == 24
-    assert 0.999 <= inst.tree.total_probability <= 1.0
+    assert 0.999 <= sum(s.probability for s in inst.tree.scenarios) <= 1.0
