@@ -7,6 +7,10 @@ is present, and through ``scipy.optimize.milp`` otherwise.
 
 ``HighsBackend.solve_fixed`` solves an LP under a series of fixings of
 the same columns on one HiGHS instance, each from the previous basis.
+An infeasible LP's dual ray is a Farkas certificate over the fixed
+columns: each later fixing of the series that it separates is reported
+infeasible without a run. Certificates never leave their series, so what
+a series runs and skips depends on its fixings alone.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ except ImportError:
     _highs = None
 
 INF = float("inf")
+# HiGHS's default primal feasibility tolerance: a solution may miss a row
+# or column bound by this much
+FEAS_TOL = 1e-7
 
 
 @dataclass
@@ -208,8 +215,11 @@ class HighsBackend:
 
         On the direct path a model with no integer columns is passed to
         HiGHS once; each row changes the fixed columns' bounds and
-        re-solves from the basis the previous row left. Otherwise each
-        row is a ``solve`` of its own ``fixed`` copy (``solve_each``).
+        re-solves from the basis the previous run left. A row that an
+        earlier infeasible run's dual ray proves infeasible is yielded as
+        ``infeasible`` with 0 simplex iterations and no run; every other
+        row gets the status a cold solve gives it. Otherwise each row is
+        a ``solve`` of its own ``fixed`` copy (``solve_each``).
         """
         if _highs is None or model.assembly().integrality.any():
             return solve_each(self, model, cols, vals, time_limit)
@@ -258,20 +268,71 @@ def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
 
 
 def _solve_series(model: SolverModel, cols, vals, time_limit: float):
-    """``solve_fixed``'s direct path for a model with no integer columns."""
-    h = _load(model, model.assembly())
+    """``solve_fixed``'s direct path for a model with no integer columns.
+
+    A run that comes back infeasible leaves a Farkas certificate
+    (``_separated``); every later row it proves infeasible is yielded as
+    ``infeasible`` with no run.
+    """
+    asm = model.assembly()
+    h = _load(model, asm)
+    if h is None:
+        for _ in vals:
+            yield SolveResult("infeasible", None, None, None)
+        return
+    vals = np.asarray(vals, dtype=float)
     # HiGHS takes a column set in increasing order
     order = np.argsort(cols)
     idx = np.asarray(cols, dtype=np.int32)[order]
-    for v in vals:
-        if h is None:
-            yield SolveResult("infeasible", None, None, None)
+    proven = np.zeros(len(vals), dtype=bool)
+    for i, v in enumerate(vals):
+        if proven[i]:
+            yield SolveResult("infeasible", None, None, None,
+                              simplex_iterations=0)
             continue
-        v = np.asarray(v, dtype=float)[order]
-        h.changeColsBounds(len(idx), idx, v, v)
+        h.changeColsBounds(len(idx), idx, v[order], v[order])
         # HiGHS's time limit counts every run of one instance
         h.setOptionValue("time_limit", h.getRunTime() + float(time_limit))
-        yield _run(h, False)
+        res = _run(h, False)
+        if res.status == "infeasible":
+            status, has_ray, ray = h.getDualRay()
+            if status != _highs.HighsStatus.kError and has_ray:
+                proven[i + 1:] |= _separated(model, asm, cols, vals[i + 1:],
+                                             ray)
+        yield res
+
+
+def _separated(model: SolverModel, asm: Assembly, cols, vals,
+               y: np.ndarray) -> np.ndarray:
+    """Which rows of ``vals``, fixings of ``cols``, the row weights ``y``
+    prove infeasible.
+
+    Every feasible x has ``y.A x`` within the rows' bounds aggregated by
+    the sign of each weight, ``[lo, hi]``, and also ``y.A x = d.x`` with
+    ``d = A'y``, which over the columns not fixed ranges within their
+    bounds, ``[fmin, fmax]``. A fixing whose ``d`` part ``a`` leaves the
+    two ranges apart has no feasible point. A point HiGHS accepts within
+    ``FEAS_TOL`` moves each side by at most ``FEAS_TOL`` times
+    ``|y|_1`` or ``|d|_1``, so only a gap of ten times their sum counts.
+    Any ``y`` gives a sound test; an infeasible LP's dual ray is one that
+    separates its own fixing.
+    """
+    d = asm.csr.T @ y
+    lo, hi = _range(y, asm.row_lo, asm.row_hi)
+    free = np.ones(model.n_vars, dtype=bool)
+    free[cols] = False
+    fmin, fmax = _range(d[free], model.lb[free], model.ub[free])
+    margin = 10 * FEAS_TOL * (np.abs(y).sum() + np.abs(d).sum())
+    a = vals @ d[cols]
+    return (a + fmax < lo - margin) | (a + fmin > hi + margin)
+
+
+def _range(w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The least and greatest ``w.x`` over ``lo <= x <= hi``; a zero weight
+    adds nothing even on an infinite bound."""
+    pos, neg = w > 0, w < 0
+    return (w[pos] @ lo[pos] + w[neg] @ hi[neg],
+            w[pos] @ hi[pos] + w[neg] @ lo[neg])
 
 
 def _run(h, is_mip: bool) -> SolveResult:

@@ -29,7 +29,7 @@ from .freq_dynamics import frequency_weights
 from .nadir_linearization import NadirBounds, PwlFit
 from . import solver
 from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
-from .solver import INF, SolveResult, SolverModel, get_backend
+from .solver import FEAS_TOL, INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
                      SynchronousUnit, load_system, system_from_dict)
 
@@ -588,9 +588,6 @@ def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
             "reserves": reserves, "shed": shed}
 
 
-# HiGHS's default primal feasibility tolerance: a row over fixed columns
-# that misses its bounds by more makes the LP infeasible
-_FEAS_TOL = 1e-7
 # patterns screened per array block, which bounds the screen's temporaries
 _SCREEN_BLOCK = 256
 # passing patterns per solve_fixed series in brute_force_uc
@@ -602,10 +599,12 @@ def _commitment_patterns(built: BuiltModel):
 
     Returns ``(cols, vals, passes)``: the u, y and z columns, one row of
     their fixed values per pattern, and whether each row keeps u within its
-    bounds and satisfies, within ``_FEAS_TOL``, every row of the built model
+    bounds and satisfies, within ``FEAS_TOL``, every row of the built model
     without its other columns, which are the rows over these columns alone.
-    A pattern that does not pass is infeasible; one that passes needs an
-    LP. Patterns are screened ``_SCREEN_BLOCK`` at a time.
+    A pattern that does not pass is infeasible. One that passes goes to
+    ``solve_fixed``, which runs its LP unless an earlier infeasible LP of
+    the same series has already proven it infeasible. Patterns are
+    screened ``_SCREEN_BLOCK`` at a time.
     """
     m, vm, inst = built.model, built.vars, built.instance
     I, T = vm.u.shape
@@ -634,8 +633,8 @@ def _commitment_patterns(built: BuiltModel):
         vals[k] = np.concatenate([u, np.maximum(du, 0), np.maximum(-du, 0)],
                                  axis=1).reshape(len(k), -1)
         gx = vals[k] @ g.T
-        passes[k] = ~(np.any(lo - gx > _FEAS_TOL, axis=1)
-                      | np.any(gx - hi > _FEAS_TOL, axis=1))
+        passes[k] = ~(np.any(lo - gx > FEAS_TOL, axis=1)
+                      | np.any(gx - hi > FEAS_TOL, axis=1))
     return cols, vals, passes
 
 
@@ -654,15 +653,17 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     plain LP. The passing patterns, in ``itertools.product`` order, are
     cut into chunks of ``_CHUNK``, and each chunk is one
     ``backend.solve_fixed`` series: on HiGHS's direct path its first LP
-    solves cold and each later one starts from the basis its predecessor
-    left. A backend without ``solve_fixed`` solves each pattern on its
-    own (``solver.solve_each``). The model is never written. The chunks
-    run on one worker thread per CPU this process may use. The answer is
-    the lowest objective, and among equal objectives the first pattern in
-    ``itertools.product`` order; a chunk's LPs do not depend on which
-    worker runs it, so the answer is the same for any CPU count. If any
-    LP stops at its time limit the result is ``timeout``, with no point:
-    that LP might have been the cheapest.
+    solves cold, each later one starts from the basis the last one left,
+    and an infeasible LP's dual ray proves later patterns of the same
+    chunk infeasible without their LP. A backend without ``solve_fixed``
+    solves each pattern on its own (``solver.solve_each``). The model is
+    never written. The chunks run on one worker thread per CPU this
+    process may use. The answer is the lowest objective, and among equal
+    objectives the first pattern in ``itertools.product`` order; a
+    chunk's LPs, and the patterns it skips, depend only on the chunk, not
+    on which worker runs it, so the answer is the same for any CPU count.
+    If any LP stops at its time limit the result is ``timeout``, with no
+    point: that LP might have been the cheapest.
     """
     I, T = len(instance.units), instance.horizon
     if I * T > 16:

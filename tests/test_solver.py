@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gridfreq.solver import INF, SolverModel
+from gridfreq import solver
+from gridfreq.solver import INF, HighsBackend, SolverModel
 
 
 def test_matrix_follows_added_columns_and_rows():
@@ -70,3 +71,79 @@ def test_without_drops_columns_and_the_rows_that_read_them():
     assert all(np.array_equal(x, y) for x, y in zip(before, (
         m.lb, m.ub, m.c, asm.csr.toarray(), asm.row_lo, asm.row_hi)))
     assert m.is_int == [True, False, False, True]
+
+
+def fixing_model():
+    """x0, x1 in [0, 2] to be fixed; f in [0, 1] and g >= 0 left free.
+
+    x0 + f >= 2 and x1 + f >= 2 need x0 >= 1 and x1 >= 1, and
+    x0 + x1 + g <= 3.5 needs x0 + x1 <= 3.5; g >= f - 0.5, and the cost
+    is f + 2 g.
+    """
+    m = SolverModel()
+    x0, x1, f, g = m.add_vars(4)
+    m.ub[:] = [2.0, 2.0, 1.0, INF]
+    m.c[:] = [0.0, 0.0, 1.0, 2.0]
+    m.add_rows([[x0, f], [x1, f]], 1.0, 2.0, INF)
+    m.add_rows([[x0, x1, g]], 1.0, -INF, 3.5)
+    m.add_rows([[g, f]], [[1.0, -1.0]], -0.5, INF)
+    return m, [x0, x1]
+
+
+# row 3 breaks x1 + f >= 2, which row 0's certificate (x0 + f >= 2) does
+# not separate; row 5 breaks the third row, which neither earlier one
+# separates; row 10 misses x0 + f >= 2 by less than HiGHS's tolerance
+FIXINGS = np.array([[0.5, 1.5], [1.5, 1.5], [0.25, 1.5], [1.5, 0.5],
+                    [1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [1.5, 0.25],
+                    [1.8, 1.8], [1.2, 1.9], [1.0 - 5e-8, 1.5]])
+
+
+@pytest.mark.skipif(solver._highs is None,
+                    reason="scipy without its bundled HiGHS binding")
+def test_solve_fixed_skips_only_proven_infeasible_rows(monkeypatch):
+    m, cols = fixing_model()
+    backend = HighsBackend()
+    cold = list(solver.solve_each(backend, m, cols, FIXINGS, 60.0))
+    runs = []
+    run = solver._run
+    monkeypatch.setattr(solver, "_run",
+                        lambda h, is_mip: runs.append(1) or run(h, is_mip))
+    series = list(backend.solve_fixed(m, cols, FIXINGS, 60.0))
+    assert [r.status for r in series] == [r.status for r in cold] == [
+        "infeasible", "optimal", "infeasible", "infeasible", "optimal",
+        "infeasible", "infeasible", "infeasible", "infeasible", "optimal",
+        "optimal"]
+    for warm, ref in zip(series, cold):
+        if ref.status == "optimal":
+            assert warm.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert len(runs) < len(FIXINGS)
+
+    # a model HiGHS will not load: one infeasible per row, and no run
+    runs.clear()
+    m.add_rows([[cols[0], cols[1]]], [[INF, 1.0]], -INF, 10.0)
+    series = list(backend.solve_fixed(m, cols, FIXINGS, 60.0))
+    assert [r.status for r in series] == ["infeasible"] * len(FIXINGS)
+    assert [r.status for r in solver.solve_each(backend, m, cols, FIXINGS,
+                                                60.0)] == [
+        "infeasible"] * len(FIXINGS)
+    assert not runs
+
+
+def test_separated_counts_zero_weights_on_infinite_bounds():
+    m, cols = fixing_model()
+    asm = m.assembly()
+    # x0 + f >= 2 alone: g's infinite bound has weight 0 and adds nothing
+    y = np.array([1.0, 0.0, 0.0, 0.0])
+    assert solver._separated(m, asm, cols, FIXINGS, y).tolist() == [
+        True, False, True, False, False, False, True, False, False, False,
+        False]
+    # x0 + x1 + g <= 3.5 reads g, so the free columns' range is infinite
+    # on one side only; the other still separates a fixing above 3.5
+    y = np.array([0.0, 0.0, -1.0, 0.0])
+    assert solver._separated(m, asm, cols, FIXINGS, y).tolist() == [
+        False, False, False, False, False, True, False, False, True, False,
+        False]
+    # adding g >= f - 0.5 gives x0 + g >= 1.5: g is unbounded on the side
+    # that would separate, so nothing is
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    assert not solver._separated(m, asm, cols, FIXINGS, y).any()

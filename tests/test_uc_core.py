@@ -506,18 +506,47 @@ def test_solve_fixed_matches_cold_solves(make):
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def count_runs(monkeypatch):
+    """A list that grows by one entry per HiGHS run."""
+    runs = []
+    run = solver._run
+    monkeypatch.setattr(solver, "_run",
+                        lambda h, is_mip: runs.append(1) or run(h, is_mip))
+    return runs
+
+
 @needs_highs
-def test_solve_fixed_time_limit_is_per_lp():
+def test_solve_fixed_time_limit_is_per_lp(monkeypatch):
     """HiGHS counts its time limit over every run of one instance; each
     LP of a series gets the whole limit, so a series far longer than the
-    limit, of LPs far shorter, solves every pattern."""
+    limit, of LPs far shorter, solves every pattern. The series holds only
+    patterns that solve, so no certificate skips one and each reaches
+    HiGHS."""
     built, cols, vals, passes = lp_patterns(oracle_shaped_instance)
+    backend = HighsBackend()
+    feasible = np.array([v for v, res in zip(
+        vals[passes], backend.solve_fixed(built.model, cols, vals[passes],
+                                          60.0))
+        if res.status == "optimal"])
+    runs = count_runs(monkeypatch)
     limit = 0.05
     began = time.perf_counter()
-    series = list(HighsBackend().solve_fixed(
-        built.model, cols, np.tile(vals[passes], (2, 1)), limit))
+    series = list(backend.solve_fixed(
+        built.model, cols, np.tile(feasible, (4, 1)), limit))
     assert time.perf_counter() - began > 4 * limit
-    assert all(res.status != "timeout" for res in series)
+    assert len(runs) == len(series) == 4 * len(feasible)
+    assert all(res.status == "optimal" for res in series)
+
+
+@needs_highs
+def test_brute_force_skips_proven_infeasible_lps(monkeypatch):
+    """Most patterns that pass the screen are infeasible; an infeasible
+    LP's certificate spares later ones of its chunk their HiGHS run."""
+    _, _, _, passes = lp_patterns(oracle_shaped_instance)
+    runs = count_runs(monkeypatch)
+    sol = brute_force_uc(oracle_shaped_instance())
+    assert sol.status == "optimal"
+    assert len(runs) < np.count_nonzero(passes)
 
 
 def test_brute_force_milp_fallback(monkeypatch):
