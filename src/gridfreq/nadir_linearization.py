@@ -21,6 +21,9 @@ from .system import ConverterFleet, FrequencyLimits, SynchronousUnit
 
 ENUMERATION_GUARD = 25
 _BOUND_BINS = 64       # quantile bins per axis of the binned bound search
+# masks per block of the enumeration and of the binned bound search, which
+# bounds their temporaries
+_CLOUD_BLOCK = 1 << 14
 _FIT_MAX_ITER = 100    # assignment/refit rounds per max-affine restart
 
 
@@ -48,13 +51,6 @@ class CommitmentCloud:
 
     def __len__(self) -> int:
         return len(self.m)
-
-    def mask_of(self, online_ids: set[str]) -> int:
-        mask = 0
-        for j, uid in enumerate(self.survivor_ids):
-            if uid in online_ids:
-                mask |= 1 << j
-        return mask
 
 
 @dataclass
@@ -98,13 +94,33 @@ class PwlFit:
             fh.write("\n")
 
 
+def _survivor_sums(masks: np.ndarray | Sequence[int],
+                   weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Sum of each survivor weight vector over the units online in each mask.
+
+    Bit j of a mask is survivor j's on/off state.  Each sum is its own
+    matrix-vector product of the 0/1 bit matrix with one weight vector.
+    A fixed-order sum over units, or one product with the three weight
+    vectors as columns, rounds some points differently in the last bit.
+    """
+    # little-endian bytes of each mask, unpacked least significant bit first
+    masks = np.asarray(masks, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(masks, axis=1, count=len(weights[0]),
+                         bitorder="little").astype(float)
+    return [bits @ w for w in weights]
+
+
 def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
                           fleet: ConverterFleet, limits: FrequencyLimits,
                           t_turbine: float) -> CommitmentCloud:
     """Nadir over all on/off patterns of the units surviving one outage.
 
     The full-fleet aggregate damping is used for every point, matching
-    the damping treatment in the UC model.
+    the damping treatment in the UC model.  Masks are taken
+    ``_CLOUD_BLOCK`` at a time, so the temporaries are bounded by the
+    block and the cloud's 33 bytes per point are all that grows with it.
+    Each point depends only on its own mask, so the cloud is the same
+    bit for bit whatever the block size.
     """
     survivor_idx = [k for k, u in enumerate(units) if u.id != outage_unit]
     if len(survivor_idx) == len(units):
@@ -117,23 +133,36 @@ def enumerate_commitments(units: Sequence[SynchronousUnit], outage_unit: str,
     w = frequency_weights(units, fleet)
     failed = next(u for u in units if u.id == outage_unit)
     delta_p = failed.p_max / w.s_base
-    n = len(survivor_idx)
+    weights = [w.m_w[survivor_idx], w.r_w[survivor_idx], w.f_w[survivor_idx]]
+    size = 1 << len(survivor_idx)
 
-    # little-endian bytes of each mask, unpacked least significant bit first
-    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(masks, axis=1, count=n,
-                         bitorder="little").astype(float)
-    m = bits @ w.m_w[survivor_idx]
-    r_g = bits @ w.r_w[survivor_idx]
-    f_g = bits @ w.f_w[survivor_idx]
-
-    nadir = nadir_closed_form(m + w.m_v, w.d, r_g, f_g, t_turbine, delta_p,
-                              limits.f_base)
+    m, r_g, f_g, nadir = (np.empty(size) for _ in range(4))
+    for lo in range(0, size, _CLOUD_BLOCK):
+        blk = slice(lo, min(lo + _CLOUD_BLOCK, size))
+        m[blk], r_g[blk], f_g[blk] = _survivor_sums(
+            np.arange(blk.start, blk.stop), weights)
+        nadir[blk] = nadir_closed_form(m[blk] + w.m_v, w.d, r_g[blk],
+                                       f_g[blk], t_turbine, delta_p,
+                                       limits.f_base)
     safe = nadir <= limits.nadir_lim
     safe[0] = False   # all survivors offline: unsafe by convention
     return CommitmentCloud(survivor_ids=[units[k].id for k in survivor_idx],
                            delta_p=delta_p, m_v=w.m_v, d=w.d, m=m, r_g=r_g,
                            f_g=f_g, nadir_hz=nadir, safe=safe)
+
+
+def cloud_point(units: Sequence[SynchronousUnit], outage_unit: str,
+                fleet: ConverterFleet, online: set[str]
+                ) -> tuple[float, float, float]:
+    """(m, r_g, f_g) of the cloud point with exactly the survivors in
+    ``online`` committed, summed as ``enumerate_commitments`` sums it."""
+    w = frequency_weights(units, fleet)
+    survivors = [k for k, u in enumerate(units) if u.id != outage_unit]
+    mask = sum(1 << j for j, k in enumerate(survivors)
+               if units[k].id in online)
+    sums = _survivor_sums([mask], [w.m_w[survivors], w.r_w[survivors],
+                                   w.f_w[survivors]])
+    return tuple(float(x[0]) for x in sums)
 
 
 def admitted(cloud: CommitmentCloud, bounds: NadirBounds) -> np.ndarray:
@@ -206,10 +235,13 @@ def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
     of the coordinate values; for each pair the exact maximum r over the
     admitted unsafe points is read off a 2-D suffix-max table, so the
     resulting r_lim excludes every unsafe point with certainty.
+
+    The edges come from the whole cloud; the table and the safe-point
+    histogram are then accumulated ``_CLOUD_BLOCK`` points at a time.
+    A maximum and an integer count do not depend on the order they are
+    accumulated in, so the bounds are the same for every block size.
     """
     f, r, m, safe = cloud.f_g, cloud.r_g, cloud.m, cloud.safe
-    unsafe = ~safe
-    f_vals, r_vals, m_vals = np.unique(f), np.unique(r), np.unique(m)
 
     def edges(vals: np.ndarray) -> np.ndarray:
         if len(vals) <= _BOUND_BINS:
@@ -217,25 +249,28 @@ def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
         idx = np.unique(np.linspace(0, len(vals) - 1, _BOUND_BINS).astype(int))
         return vals[idx]
 
-    m_edges, f_edges = edges(m_vals), edges(f_vals)
-    mb = np.searchsorted(m_edges, m[unsafe], side="right") - 1
-    fb = np.searchsorted(f_edges, f[unsafe], side="right") - 1
-    maxr = np.full((len(m_edges), len(f_edges)), -np.inf)
-    np.maximum.at(maxr, (mb, fb), r[unsafe])
+    m_edges, f_edges = edges(np.unique(m)), edges(np.unique(f))
+    r_vals = np.unique(r)
+    r_edges = edges(r_vals)
+    shape = (len(m_edges), len(f_edges), len(r_edges))
+    maxr = np.full(shape[:2], -np.inf)
+    counts = np.zeros(math.prod(shape), dtype=np.intp)
+    for lo in range(0, len(cloud), _CLOUD_BLOCK):
+        blk = slice(lo, lo + _CLOUD_BLOCK)
+        s, u = safe[blk], ~safe[blk]
+        mb = np.searchsorted(m_edges, m[blk], side="right") - 1
+        fb = np.searchsorted(f_edges, f[blk], side="right") - 1
+        np.maximum.at(maxr, (mb[u], fb[u]), r[blk][u])
+        # approximate admitted-safe counts from a 3-D histogram; only
+        # candidate ranking is approximate, safety is not
+        rb = np.searchsorted(r_edges, r[blk][s], side="right") - 1
+        np.add.at(counts, np.ravel_multi_index((mb[s], fb[s], rb), shape), 1)
     # suffix max over both axes: exact max r of unsafe points with
     # m >= m_edges[i] and f >= f_edges[j]
     maxr = np.flip(np.maximum.accumulate(np.flip(maxr, 0), 0), 0)
     maxr = np.flip(np.maximum.accumulate(np.flip(maxr, 1), 1), 1)
-
-    # approximate admitted-safe counts from a 3-D reverse-cumulative
-    # histogram; only candidate ranking is approximate, safety is not
-    r_edges = edges(r_vals)
-    smb = np.searchsorted(m_edges, m[safe], side="right") - 1
-    sfb = np.searchsorted(f_edges, f[safe], side="right") - 1
-    srb = np.searchsorted(r_edges, r[safe], side="right") - 1
-    shape = (len(m_edges), len(f_edges), len(r_edges))
-    cell = np.ravel_multi_index((smb, sfb, srb), shape)
-    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    # reverse-cumulative: safe points with m, f and r at or above each edge
+    counts = counts.reshape(shape)
     for axis in range(3):
         counts = np.flip(np.cumsum(np.flip(counts, axis), axis=axis), axis)
 

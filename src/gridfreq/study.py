@@ -19,8 +19,9 @@ from . import __version__
 from .freq_dynamics import (AggregateParams, aggregate_params, check_limits,
                             frequency_metrics, frequency_weights,
                             simulate_step_response)
-from .nadir_linearization import (enumerate_commitments, extract_bounds,
-                                  fit_pwl, make_nadir_fn, nadir_grid)
+from .nadir_linearization import (cloud_point, enumerate_commitments,
+                                  extract_bounds, fit_pwl, make_nadir_fn,
+                                  nadir_grid)
 from .scenarios import ContingencyModel, WindScenario, build_tree
 from .system import PowerSystem
 from .uc_core import (InitialState, Network, UcInstance, UcSolution,
@@ -181,22 +182,21 @@ def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
 
     Verify every realized post-contingency aggregate matches its
     enumerated cloud point, so conservativeness carries over exactly.
+    Only the realized points are summed, with the enumeration's own
+    arithmetic, so no cloud is built.
     """
     tree = instance.tree
-    clouds = {uid: enumerate_commitments(instance.units, uid, instance.fleet,
-                                         instance.limits, instance.t_turbine)
-              for uid in {s.outage_unit for s in tree.scenarios} - {None}}
+    t = tree.contingency_hour
     for s, scen in enumerate(tree.scenarios):
         if scen.outage_unit is None:
             continue
-        t = tree.contingency_hour
-        cloud = clouds[scen.outage_unit]
         online = {u.id for i, u in enumerate(instance.units)
                   if sol.u[i, t] and tree.availability[s, i, t]}
-        mask = cloud.mask_of(online)
-        if not (abs(cloud.m[mask] - sol.m_sys[s, t]) < 1e-9
-                and abs(cloud.r_g[mask] - sol.r_sys[s, t]) < 1e-9
-                and abs(cloud.f_g[mask] - sol.f_sys[s, t]) < 1e-9):
+        m, r_g, f_g = cloud_point(instance.units, scen.outage_unit,
+                                  instance.fleet, online)
+        if not (abs(m - sol.m_sys[s, t]) < 1e-9
+                and abs(r_g - sol.r_sys[s, t]) < 1e-9
+                and abs(f_g - sol.f_sys[s, t]) < 1e-9):
             raise StudyError(
                 f"realized aggregate for outage {scen.outage_unit} not in "
                 f"the enumerated commitment set")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import aggregate_params, fleet_damping, \
     frequency_metrics
+import gridfreq.nadir_linearization as nl
 from gridfreq.nadir_linearization import (LinearizationError, NadirBounds,
                                           admitted,
                                           enumerate_commitments,
@@ -14,6 +17,24 @@ from gridfreq.nadir_linearization import (LinearizationError, NadirBounds,
 from gridfreq.system import ConverterFleet, FrequencyLimits
 
 from conftest import make_unit, synthetic_fleet
+
+
+def multi_block_cloud(limits):
+    """2^16 points, several enumeration blocks."""
+    return enumerate_commitments(
+        synthetic_fleet(17), "u1",
+        ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0), limits, 7.0)
+
+
+def cloud_digest(cloud) -> str:
+    h = hashlib.sha256()
+    for a in (cloud.m, cloud.r_g, cloud.f_g, cloud.nadir_hz, cloud.safe):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def bounds_hex(b: NadirBounds) -> tuple[str, ...]:
+    return b.delta_p.hex(), b.f_lim.hex(), b.r_lim.hex(), b.m_lim.hex()
 
 
 def small_fleet():
@@ -67,11 +88,6 @@ class TestEnumeration:
                                       limits, 7.0)
         assert not cloud.safe[0]
 
-    def test_point_view_roundtrip(self, fleet_conv, limits):
-        cloud = enumerate_commitments(small_fleet(), "out", fleet_conv,
-                                      limits, 7.0)
-        assert cloud.mask_of({"big", "low"}) == 0b101
-
     def test_unknown_outage(self, fleet_conv, limits):
         with pytest.raises(LinearizationError):
             enumerate_commitments(small_fleet(), "zz", fleet_conv, limits,
@@ -81,6 +97,45 @@ class TestEnumeration:
         units = synthetic_fleet(26)
         with pytest.raises(LinearizationError, match="guard"):
             enumerate_commitments(units, "u1", fleet_conv, limits, 7.0)
+
+    def test_multi_block_cloud_frozen(self, limits):
+        """sha256 of the cloud's bytes and its binned bounds as float.hex,
+        computed with the single-block enumeration this replaced."""
+        cloud = multi_block_cloud(limits)
+        assert len(cloud) == 2 ** 16 > nl._CLOUD_BLOCK
+        assert cloud_digest(cloud) == (
+            "389cf92763ed28d280c78f9142e17a99051fe4535a324120f9a140c4686a5b49")
+        assert bounds_hex(extract_bounds(cloud, limits)) == (
+            "0x1.f965ae11fde92p-5", "0x1.221edde1adcdap+2",
+            "0x1.0d7abe3f6dd5ep+4", "0x1.eadfea70f47bep+1")
+
+    @pytest.mark.parametrize("block", [1 << 8, 1 << 20])
+    def test_block_size_does_not_change_bits(self, limits, monkeypatch,
+                                             block):
+        cloud = multi_block_cloud(limits)
+        expected = (cloud_digest(cloud),
+                    bounds_hex(extract_bounds(cloud, limits)))
+        monkeypatch.setattr(nl, "_CLOUD_BLOCK", block)
+        cloud = multi_block_cloud(limits)
+        assert (cloud_digest(cloud),
+                bounds_hex(extract_bounds(cloud, limits))) == expected
+
+    @pytest.mark.parametrize("n_units", [15, 19])
+    def test_memory_is_bounded_by_the_block(self, limits, n_units):
+        # 2^14 and 2^18 points: the temporaries beyond the returned arrays
+        # stay under one bound that does not grow with the cloud
+        fleet = ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0)
+        units = synthetic_fleet(n_units)
+        tracemalloc.start()
+        try:
+            cloud = enumerate_commitments(units, "u1", fleet, limits, 7.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (cloud.m, cloud.r_g, cloud.f_g,
+                                      cloud.nadir_hz, cloud.safe))
+        assert len(cloud) == 2 ** (n_units - 1)
+        assert peak - kept < 8 << 20
 
 
 class TestBoundExtraction:

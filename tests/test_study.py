@@ -5,10 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridfreq import study, system
+from gridfreq import nadir_linearization, study, system
 from gridfreq.freq_dynamics import (aggregate_params, fleet_damping,
                                     frequency_metrics)
-from gridfreq.nadir_linearization import enumerate_commitments
 from gridfreq.scenarios import ContingencyModel, WindScenario
 from gridfreq.study import (StudyConfig, StudyError, StudyTemplate,
                             _carry_state, day_instance, frequency_trace,
@@ -143,20 +142,18 @@ class TestRolling:
 
 
 class TestCloudMembership:
-    def test_one_cloud_per_outage_unit(self, dual, monkeypatch):
+    def test_check_never_enumerates(self, dual, monkeypatch):
         d = dual[2].days[1]
-        calls = []
 
-        def counting(units, outage_unit, *args):
-            calls.append(outage_unit)
-            return enumerate_commitments(units, outage_unit, *args)
+        def refuse(*args):
+            raise AssertionError("cloud check enumerated a whole cloud")
 
-        monkeypatch.setattr(study, "enumerate_commitments", counting)
+        monkeypatch.setattr(study, "enumerate_commitments", refuse)
+        monkeypatch.setattr(nadir_linearization, "enumerate_commitments",
+                            refuse)
+        assert any(sc.outage_unit == "g3"
+                   for sc in d.instance.tree.scenarios)
         study._assert_cloud_membership(d.instance, d.solution)
-        # two wind paths share the outage of g3
-        assert sum(sc.outage_unit == "g3"
-                   for sc in d.instance.tree.scenarios) == 2
-        assert calls == ["g3"]
 
     def test_aggregate_off_the_cloud_is_refused(self, dual):
         d = dual[2].days[1]
