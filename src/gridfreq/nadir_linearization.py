@@ -69,25 +69,14 @@ class NadirBounds:
 
 
 @dataclass
-class PwlSegment:
-    a: float   # coefficient of r_g
-    b: float   # coefficient of f_g
-    c: float   # coefficient of m
-    d: float   # intercept
-
-
-@dataclass
 class PwlFit:
-    segments: list[PwlSegment]
+    # (k, 4): segment k is a * r_g + b * f_g + c * m + d, one row (a, b, c, d)
+    coeffs: np.ndarray
     rmse: float
 
-    def evaluate(self, r_g, f_g, m):
-        vals = [s.a * np.asarray(r_g) + s.b * np.asarray(f_g)
-                + s.c * np.asarray(m) + s.d for s in self.segments]
-        return np.max(vals, axis=0)
-
     def to_json(self, path: str | Path) -> None:
-        payload = {"segments": [asdict(s) for s in self.segments],
+        payload = {"segments": [dict(zip("abcd", map(float, row)))
+                                for row in self.coeffs],
                    "rmse": self.rmse}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -191,9 +180,15 @@ def extract_bounds(cloud: CommitmentCloud,
     if not cloud.safe.any():
         raise LinearizationError(
             "system cannot meet nadir limit: no safe commitment pattern")
-    if len(cloud) > 1 << 12:
-        return _extract_bounds_binned(cloud)
+    bounds = (_extract_bounds_binned(cloud) if len(cloud) > 1 << 12
+              else _extract_bounds_exact(cloud))
+    if np.any(admitted(cloud, bounds) & ~cloud.safe):
+        raise LinearizationError("bound extraction admitted an unsafe point")
+    return bounds
 
+
+def _extract_bounds_exact(cloud: CommitmentCloud) -> NadirBounds:
+    """Every staircase corner of the unsafe points, for small clouds."""
     f, r, m, safe = cloud.f_g, cloud.r_g, cloud.m, cloud.safe
     f_vals, r_vals = np.unique(f), np.unique(r)
     corners = []   # (m_lim, f_lim, r_lim, n_safe) per staircase corner
@@ -221,11 +216,8 @@ def extract_bounds(cloud: CommitmentCloud,
             "system cannot meet nadir limit: no admissible box")
     # most admitted safe points, then smaller m_lim, then smaller r_lim
     best = np.lexsort((r_lim, m_lim, -n_safe))[0]
-    bounds = NadirBounds(delta_p=cloud.delta_p, f_lim=float(f_lim[best]),
-                         r_lim=float(r_lim[best]), m_lim=float(m_lim[best]))
-    box = admitted(cloud, bounds)
-    assert not np.any(box & ~cloud.safe), "admitted an unsafe point"
-    return bounds
+    return NadirBounds(delta_p=cloud.delta_p, f_lim=float(f_lim[best]),
+                       r_lim=float(r_lim[best]), m_lim=float(m_lim[best]))
 
 
 def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
@@ -289,13 +281,10 @@ def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
     # most admitted safe points, then smaller m_lim, then smaller r_lim;
     # the sort is stable, so a full tie keeps the first cell in (m, f) order
     best = np.lexsort((r_lim, m_edges[ci], -n_safe))[0]
-    bounds = NadirBounds(delta_p=cloud.delta_p,
-                         f_lim=float(f_edges[cj[best]]),
-                         r_lim=float(r_lim[best]),
-                         m_lim=float(m_edges[ci[best]]))
-    box = admitted(cloud, bounds)
-    assert not np.any(box & ~cloud.safe), "admitted an unsafe point"
-    return bounds
+    return NadirBounds(delta_p=cloud.delta_p,
+                       f_lim=float(f_edges[cj[best]]),
+                       r_lim=float(r_lim[best]),
+                       m_lim=float(m_edges[ci[best]]))
 
 
 def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
@@ -408,9 +397,7 @@ def fit_pwl(nadir_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     y = np.asarray(nadir_fn(grid[:, 0], grid[:, 1], grid[:, 2]), dtype=float)
     coeffs, rmse = fit_max_affine(grid, y, n_segments, restarts=restarts,
                                   seed=seed)
-    segments = [PwlSegment(a=float(c[0]), b=float(c[1]), c=float(c[2]),
-                           d=float(c[3])) for c in coeffs]
-    return PwlFit(segments=segments, rmse=rmse)
+    return PwlFit(coeffs=coeffs, rmse=rmse)
 
 
 def make_nadir_fn(d: float, t_turbine: float, delta_p: float,

@@ -20,28 +20,17 @@ from .uc_core import InitialState, UcInstance, UcSolution
 
 def load_day_solution(day_dir: str | Path,
                       instance: UcInstance) -> UcSolution:
+    """The commitment ``u`` and the cost figures of one persisted day."""
     day_dir = Path(day_dir)
     unit_idx = {u.id: i for i, u in enumerate(instance.units)}
-    I, T = len(instance.units), instance.horizon
-    u = np.zeros((I, T), dtype=int)
-    y = np.zeros((I, T), dtype=int)
-    z = np.zeros((I, T), dtype=int)
+    u = np.zeros((len(instance.units), instance.horizon), dtype=int)
     with open(day_dir / "commitment.csv") as fh:
         for rec in csv.DictReader(fh):
-            i, t = unit_idx[rec["unit"]], int(rec["hour"]) - 1
-            u[i, t] = int(rec["u"])
-            y[i, t] = int(rec["y"])
-            z[i, t] = int(rec["z"])
-    p = np.zeros((I, T))
-    with open(day_dir / "dispatch.csv") as fh:
-        for rec in csv.DictReader(fh):
-            if rec["asset"] in unit_idx:
-                p[unit_idx[rec["asset"]], int(rec["hour"]) - 1] = \
-                    float(rec["mw"])
+            u[unit_idx[rec["unit"]], int(rec["hour"]) - 1] = int(rec["u"])
     with open(day_dir / "costs.json") as fh:
         costs = json.load(fh)
     return UcSolution(status=costs["status"], objective=costs["objective"],
-                      mip_gap=costs["mip_gap"], u=u, y=y, z=z, p=p,
+                      mip_gap=costs["mip_gap"], u=u,
                       cost_breakdown=costs["breakdown"])
 
 
@@ -69,6 +58,7 @@ def regenerate_report(study_dir: str | Path, out_dir: str | Path) -> None:
     with open(study_dir / "study_manifest.json") as fh:
         manifest = json.load(fh)
     config = StudyConfig(**manifest["config"])
+    config.validate()
     template = study_template(config.n_days)
     day_entries = manifest["days"]
     if len(day_entries) != 2 * config.n_days:

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .freq_dynamics import (AggregateParams, aggregate_params, check_limits,
-                            frequency_metrics, frequency_weights,
-                            simulate_step_response)
+from .freq_dynamics import (AggregateParams, LimitGaps, aggregate_params,
+                            check_limits, frequency_metrics,
+                            frequency_weights, simulate_step_response)
 from .nadir_linearization import (cloud_point, enumerate_commitments,
                                   extract_bounds, fit_pwl, make_nadir_fn,
                                   nadir_grid)
@@ -63,16 +63,6 @@ class StudyConfig:
         if self.contingency_day < self.fc_start_day:
             raise StudyError(
                 "contingency hour falls before frequency constraints start")
-
-
-@dataclass
-class ConstraintGapSeries:
-    """Per-hour relative gaps; negative means the metric is within limits."""
-
-    hours: np.ndarray          # 1-based local hours
-    eta_nadir: np.ndarray
-    eta_rocof: np.ndarray
-    eta_ss: np.ndarray
 
 
 @dataclass
@@ -257,54 +247,43 @@ def run_study(template: StudyTemplate, config: StudyConfig,
     return result
 
 
-def posthoc_gaps(sol: UcSolution, instance: UcInstance,
-                 scenario: int) -> ConstraintGapSeries:
-    """Re-evaluate the frequency metrics on the realized commitments.
+def _after_outage(sol: UcSolution, instance: UcInstance,
+                  outage: str) -> tuple[AggregateParams, float]:
+    """Aggregate constants of the units left online when ``outage`` trips
+    at the contingency hour, at the constant fleet damping the schedule
+    assumed, and the size of the disturbance.
 
-    For hours without a disturbance in the scenario all gaps are -1 (the
-    metrics are identically zero).
+    They depend only on the first-stage commitment, so the first wind
+    scenario of the outage's branch stands for all of them.
     """
     tree = instance.tree
-    T = instance.horizon
-    eta = np.full((T, 3), -1.0)
-    for t in range(T):
-        dp = tree.outage_size[scenario, t]
-        if dp <= 0:
-            continue
-        agg = _realized_params(sol, instance, scenario, t)
-        gaps = check_limits(frequency_metrics(agg, dp, instance.limits),
-                            instance.limits)
-        eta[t] = (gaps.nadir, gaps.rocof, gaps.ss)
-    return ConstraintGapSeries(hours=np.arange(1, T + 1),
-                               eta_nadir=eta[:, 0], eta_rocof=eta[:, 1],
-                               eta_ss=eta[:, 2])
-
-
-def _realized_params(sol: UcSolution, instance: UcInstance, scenario: int,
-                     t: int) -> AggregateParams:
-    """Aggregate constants of the units online in ``scenario`` at hour
-    index ``t``, at the constant fleet damping the schedule assumed."""
+    s = next((s for s, sc in enumerate(tree.scenarios)
+              if sc.outage_unit == outage), None)
+    if s is None:
+        raise StudyError(f"unit {outage} has no outage branch, so no "
+                         f"disturbance")
+    t = tree.contingency_hour
     w = frequency_weights(instance.units, instance.fleet)
-    online = (sol.u[:, t] * instance.tree.availability[scenario, :, t]) > 0
-    return aggregate_params(instance.units, online, instance.fleet,
-                            instance.t_turbine, d_override=w.d)
+    online = (sol.u[:, t] * tree.availability[s, :, t]) > 0
+    agg = aggregate_params(instance.units, online, instance.fleet,
+                           instance.t_turbine, d_override=w.d)
+    return agg, tree.outage_size[s, t]
 
 
-def frequency_trace(sol: UcSolution, instance: UcInstance, scenario: int,
-                    hour: int, horizon_s: float = 20.0
+def posthoc_gaps(sol: UcSolution, instance: UcInstance,
+                 outage: str) -> LimitGaps:
+    """Re-evaluate the frequency metrics after ``outage`` on the realized
+    commitment."""
+    agg, dp = _after_outage(sol, instance, outage)
+    return check_limits(frequency_metrics(agg, dp, instance.limits),
+                        instance.limits)
+
+
+def frequency_trace(sol: UcSolution, instance: UcInstance, outage: str,
+                    horizon_s: float = 20.0
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Post-contingency frequency deviation over ``horizon_s`` seconds.
-
-    ``hour`` is the 1-based local hour; it must carry a disturbance in
-    the chosen scenario.
-    """
-    tree = instance.tree
-    t = hour - 1
-    dp = tree.outage_size[scenario, t]
-    if dp <= 0:
-        raise StudyError(f"scenario {scenario} has no disturbance at hour "
-                         f"{hour}")
-    agg = _realized_params(sol, instance, scenario, t)
+    """Frequency deviation over ``horizon_s`` seconds after ``outage``."""
+    agg, dp = _after_outage(sol, instance, outage)
     return simulate_step_response(agg, dp, horizon_s=horizon_s,
                                   f_base=instance.limits.f_base)
 
@@ -330,9 +309,16 @@ def report(result_off: StudyResult, result_on: StudyResult,
     """Comparison CSVs plus a manifest, deterministic for fixed inputs."""
     import scipy
 
+    cfg = result_on.config
+    day_idx = cfg.contingency_day - 1
+    d_off, d_on = result_off.days[day_idx], result_on.days[day_idx]
+    tree = d_off.instance.tree
+    if cfg.contingency_local_hour - 1 != tree.contingency_hour:
+        raise StudyError(
+            "template contingency hour does not match the study config")
+    outages = result_on.template.contingency.credible_outages
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = result_on.config
     u_off, u_on = result_off.solution_u(), result_on.solution_u()
     n_hours = u_off.shape[1]
 
@@ -354,29 +340,19 @@ def report(result_off: StudyResult, result_on: StudyResult,
             wr.writerow([t + 1, f"{m_off[t]:.6f}", f"{m_on[t]:.6f}",
                          f"{m_v:.6f}"])
 
-    day_idx = cfg.contingency_day - 1
     with open(out / "gaps.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["outage", "hour", "eta_nadir_off", "eta_rocof_off",
                      "eta_ss_off", "eta_nadir_on", "eta_rocof_on",
                      "eta_ss_on"])
-        d_off, d_on = result_off.days[day_idx], result_on.days[day_idx]
-        tree = d_off.instance.tree
-        for uid in d_off.instance.tree.unit_ids:
-            scen = next((s for s, sc in enumerate(tree.scenarios)
-                         if sc.outage_unit == uid), None)
-            if scen is None:
+        for uid in tree.unit_ids:
+            if uid not in outages:
                 continue
-            g_off = posthoc_gaps(d_off.solution, d_off.instance, scen)
-            g_on = posthoc_gaps(d_on.solution, d_on.instance, scen)
-            t = cfg.contingency_local_hour - 1
-            wr.writerow([uid, cfg.contingency_hour,
-                         f"{g_off.eta_nadir[t]:.6f}",
-                         f"{g_off.eta_rocof[t]:.6f}",
-                         f"{g_off.eta_ss[t]:.6f}",
-                         f"{g_on.eta_nadir[t]:.6f}",
-                         f"{g_on.eta_rocof[t]:.6f}",
-                         f"{g_on.eta_ss[t]:.6f}"])
+            gaps = [posthoc_gaps(d.solution, d.instance, uid)
+                    for d in (d_off, d_on)]
+            wr.writerow([uid, cfg.contingency_hour]
+                        + [f"{v:.6f}" for g in gaps
+                           for v in (g.nadir, g.rocof, g.ss)])
 
     with open(out / "costs.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -384,14 +360,14 @@ def report(result_off: StudyResult, result_on: StudyResult,
                      "pct_diff"])
         parts = ["total", "startup", "operation", "reserves", "shed"]
         sums = {p: [0.0, 0.0] for p in parts}
-        for d_off, d_on in zip(result_off.days, result_on.days):
+        for day_off, day_on in zip(result_off.days, result_on.days):
             for part in parts:
-                a = d_off.solution.cost_breakdown[part]
-                b = d_on.solution.cost_breakdown[part]
+                a = day_off.solution.cost_breakdown[part]
+                b = day_on.solution.cost_breakdown[part]
                 sums[part][0] += a
                 sums[part][1] += b
                 pct = 100.0 * (b - a) / a if abs(a) > 1e-12 else float("nan")
-                wr.writerow([d_off.day, part, f"{a:.2f}", f"{b:.2f}",
+                wr.writerow([day_off.day, part, f"{a:.2f}", f"{b:.2f}",
                              f"{pct:.2f}"])
         for part in parts:
             a, b = sums[part]
@@ -399,14 +375,8 @@ def report(result_off: StudyResult, result_on: StudyResult,
             wr.writerow(["all", part, f"{a:.2f}", f"{b:.2f}", f"{pct:.2f}"])
 
     uid = _largest_outage(result_on.template)
-    d_off = result_off.days[day_idx]
-    d_on = result_on.days[day_idx]
-    scen = next(s for s, sc in enumerate(d_on.instance.tree.scenarios)
-                if sc.outage_unit == uid)
-    ts, df_off = frequency_trace(d_off.solution, d_off.instance, scen,
-                                 cfg.contingency_local_hour)
-    _, df_on = frequency_trace(d_on.solution, d_on.instance, scen,
-                               cfg.contingency_local_hour)
+    ts, df_off = frequency_trace(d_off.solution, d_off.instance, uid)
+    _, df_on = frequency_trace(d_on.solution, d_on.instance, uid)
     with open(out / f"trace_h{cfg.contingency_hour}.csv", "w",
               newline="") as fh:
         wr = csv.writer(fh)

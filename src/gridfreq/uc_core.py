@@ -424,8 +424,7 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     t3 = m.add_vars(len(cell_s), -INF, INF)
     lo = np.hstack(lo)
     for k, fit in enumerate(surrogates):
-        a, b, c, d = np.array([(g.a, g.b, g.c, g.d)
-                               for g in fit.segments]).T[..., None]
+        a, b, c, d = fit.coeffs.T[..., None]
         m.add_rows(on[k], np.stack(w_rows), lo[k], INF)
         m.add_rows(np.hstack([t3[k], on[k, 0], on[k, 0], on[k, 0]]),
                    np.hstack([-np.ones_like(a), a * r_w, b * f_w, c * m_w]),

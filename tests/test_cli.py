@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from gridfreq import nadir_linearization
 from gridfreq.cli import main
 from gridfreq.nadir_linearization import NadirBounds
 from gridfreq.system import (ConverterFleet, FrequencyLimits, PowerSystem,
@@ -137,6 +139,17 @@ class TestLinearize:
         payload = json.loads(out.read_text())
         assert len(payload["segments"]) == 3
         capsys.readouterr()
+
+    def test_unsafe_box_is_an_error(self, case_dir, capsys, monkeypatch):
+        monkeypatch.setattr(nadir_linearization, "admitted",
+                            lambda cloud, bounds: np.ones(len(cloud), bool))
+        out = case_dir / "bounds.json"
+        assert main(["linearize", "--method", "bounds",
+                     "--system", str(case_dir / "system.json"),
+                     "--outage", "g3", "--out", str(out)]) == 1
+        assert "error: bound extraction admitted an unsafe point" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_outage(self, case_dir, capsys):
         assert main(["linearize", "--method", "bounds",

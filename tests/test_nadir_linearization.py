@@ -175,6 +175,19 @@ class TestBoundExtraction:
         assert (b.delta_p.hex(), b.f_lim.hex(), b.r_lim.hex(),
                 b.m_lim.hex()) == expected
 
+    @pytest.mark.parametrize("units, outage, fleet", [
+        (small_fleet(), "out", ConverterFleet(100.0, 50.0)),
+        (synthetic_fleet(15, seed=3), "u1", ConverterFleet(120.0, 60.0))],
+        ids=["exact", "binned"])
+    def test_admitting_an_unsafe_point_raises(self, limits, monkeypatch,
+                                              units, outage, fleet):
+        # both bound searches end in one check that holds under python -O
+        cloud = enumerate_commitments(units, outage, fleet, limits, 7.0)
+        monkeypatch.setattr(nl, "admitted",
+                            lambda cloud, bounds: np.ones(len(cloud), bool))
+        with pytest.raises(LinearizationError, match="unsafe point"):
+            extract_bounds(cloud, limits)
+
     def test_all_unsafe_raises(self, fleet_conv, limits):
         units = small_fleet()
         tight = FrequencyLimits(nadir_lim=1e-6)
@@ -275,7 +288,8 @@ class TestPwlFit:
         grid = nadir_grid(cloud, n_per_dim=5)
         fit = fit_pwl(fn, grid, 4, restarts=40, seed=0)
         assert fit.rmse < 0.05
-        vals = fit.evaluate(grid[:, 0], grid[:, 1], grid[:, 2])
+        vals = (np.hstack([grid, np.ones((len(grid), 1))])
+                @ fit.coeffs.T).max(axis=1)
         truth = fn(grid[:, 0], grid[:, 1], grid[:, 2])
         assert np.sqrt(np.mean((vals - truth) ** 2)) == pytest.approx(
             fit.rmse, rel=1e-9)

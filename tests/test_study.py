@@ -5,16 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridfreq import nadir_linearization, study, system
+from gridfreq import casedata, nadir_linearization, study, system
 from gridfreq.freq_dynamics import (aggregate_params, fleet_damping,
                                     frequency_metrics)
+from gridfreq.report_io import regenerate_report
 from gridfreq.scenarios import ContingencyModel, WindScenario
 from gridfreq.study import (StudyConfig, StudyError, StudyTemplate,
                             _carry_state, day_instance, frequency_trace,
                             posthoc_gaps, report, run_study)
 from gridfreq.system import ConverterFleet, PowerSystem
 from gridfreq.uc_core import InitialState, Line, Network, WindFarm, \
-    build_model, solve
+    build_model, dump_solution, solve
 
 from conftest import make_unit
 
@@ -168,37 +169,25 @@ class TestCloudMembership:
 
 
 class TestPosthoc:
-    def test_quiet_hours_report_minus_one(self, dual):
+    def test_unit_without_outage_branch_is_refused(self, dual):
         template, off, _ = dual
         d = off.days[1]
-        scen = next(s for s, sc in enumerate(d.instance.tree.scenarios)
-                    if sc.outage_unit == "g3")
-        gaps = posthoc_gaps(d.solution, d.instance, scen)
-        t_c = 18
-        quiet = np.arange(24) < t_c
-        assert np.all(gaps.eta_nadir[quiet] == -1.0)
-        assert np.all(gaps.eta_rocof[quiet] == -1.0)
-        assert gaps.eta_nadir[t_c] > -1.0
-        # the no-contingency branch never has a disturbance
-        base = posthoc_gaps(d.solution, d.instance, 0)
-        assert np.all(base.eta_nadir == -1.0)
+        with pytest.raises(StudyError, match="g1 has no outage branch"):
+            posthoc_gaps(d.solution, d.instance, "g1")
 
     def test_bounds_run_closes_gaps(self, dual):
         template, off, on = dual
         d = on.days[1]
-        scen = next(s for s, sc in enumerate(d.instance.tree.scenarios)
-                    if sc.outage_unit == "g3")
-        gaps = posthoc_gaps(d.solution, d.instance, scen)
-        t_c = 18
-        assert gaps.eta_nadir[t_c] <= 0.0
-        assert gaps.eta_rocof[t_c] <= 0.0
-        assert gaps.eta_ss[t_c] <= 0.0
+        gaps = posthoc_gaps(d.solution, d.instance, "g3")
+        assert gaps.nadir <= 0.0
+        assert gaps.rocof <= 0.0
+        assert gaps.ss <= 0.0
 
     def test_trace_requires_disturbance(self, dual):
         template, off, _ = dual
         d = off.days[1]
         with pytest.raises(StudyError, match="no disturbance"):
-            frequency_trace(d.solution, d.instance, 0, 19)
+            frequency_trace(d.solution, d.instance, "g2")
 
     def test_trace_tail_matches_steady_state(self, dual):
         template, off, _ = dual
@@ -206,7 +195,7 @@ class TestPosthoc:
         inst = d.instance
         scen = next(s for s, sc in enumerate(inst.tree.scenarios)
                     if sc.outage_unit == "g3")
-        ts, df = frequency_trace(d.solution, inst, scen, 19, horizon_s=60.0)
+        ts, df = frequency_trace(d.solution, inst, "g3", horizon_s=60.0)
         t_c = 18
         online = (d.solution.u[:, t_c]
                   * inst.tree.availability[scen, :, t_c]) > 0
@@ -249,3 +238,43 @@ class TestReport:
             manifests.append((where / "study_manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert "out_dir" not in json.loads(manifests[0])["config"]
+
+
+def persist(off, on, where):
+    """The layout ``run_study`` and ``report`` leave behind, with only the
+    files ``regenerate_report`` reads kept of each day's dump."""
+    for sub, run in (("solutions_off", off), ("solutions_on", on)):
+        for d in run.days:
+            day_dir = where / sub / f"day{d.day}"
+            dump_solution(d.solution, d.instance, day_dir)
+            for name in ("dispatch.csv", "reserves.csv", "flows.csv"):
+                (day_dir / name).unlink()
+    report(off, on, where)
+
+
+class TestRegenerate:
+    @pytest.fixture(autouse=True)
+    def small_case(self, monkeypatch):
+        monkeypatch.setattr(casedata, "study_template",
+                            lambda n_days: small_template())
+
+    def test_commitments_and_costs_suffice(self, dual, tmp_path):
+        template, off, on = dual
+        persist(off, on, tmp_path)
+        regenerate_report(tmp_path, tmp_path / "regenerated")
+        for name in ("commitments.csv", "inertia.csv", "gaps.csv",
+                     "costs.csv", "trace_h43.csv"):
+            assert ((tmp_path / "regenerated" / name).read_bytes()
+                    == (tmp_path / name).read_bytes())
+
+    @pytest.mark.parametrize("hour, error", [
+        (44, "template contingency hour"), (60, "outside the study horizon")])
+    def test_manifest_hour_is_checked(self, dual, tmp_path, hour, error):
+        template, off, on = dual
+        persist(off, on, tmp_path)
+        path = tmp_path / "study_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["contingency_hour"] = hour
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StudyError, match=error):
+            regenerate_report(tmp_path, tmp_path / "regenerated")

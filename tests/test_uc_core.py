@@ -13,7 +13,7 @@ import pytest
 from gridfreq import solver, system, uc_core
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
-from gridfreq.nadir_linearization import (NadirBounds, PwlFit, PwlSegment,
+from gridfreq.nadir_linearization import (NadirBounds, PwlFit,
                                           enumerate_commitments,
                                           extract_bounds, fit_pwl,
                                           make_nadir_fn, nadir_grid)
@@ -589,8 +589,8 @@ def highs_input_digest(m):
 def small_pwl_instance():
     """small_instance in pwl mode with a hand-written two-segment fit, so
     no LAPACK call feeds the model."""
-    fit = PwlFit([PwlSegment(a=-0.9, b=-4.5, c=-0.05, d=0.7),
-                  PwlSegment(a=-0.3, b=-1.25, c=-0.02, d=0.45)], rmse=0.0)
+    fit = PwlFit(np.array([[-0.9, -4.5, -0.05, 0.7],
+                           [-0.3, -1.25, -0.02, 0.45]]), rmse=0.0)
     return small_instance(freq_mode="pwl", surrogates={"g2": fit})
 
 
@@ -629,11 +629,11 @@ def edge_instance(freq_mode):
                       "g2": NadirBounds(0.0225, 1.5, 20.0, 2.0)}
     elif freq_mode == "pwl":
         surrogates = {
-            "g1": PwlFit([PwlSegment(-0.008, -0.05, -0.02, 0.9),
-                          PwlSegment(-0.002, -0.01, -0.01, 0.5)], rmse=0.0),
-            "g2": PwlFit([PwlSegment(-0.006, -0.04, -0.03, 0.8),
-                          PwlSegment(-0.0025, -0.02, -0.015, 0.55),
-                          PwlSegment(-0.001, -0.005, -0.005, 0.3)],
+            "g1": PwlFit(np.array([[-0.008, -0.05, -0.02, 0.9],
+                                   [-0.002, -0.01, -0.01, 0.5]]), rmse=0.0),
+            "g2": PwlFit(np.array([[-0.006, -0.04, -0.03, 0.8],
+                                   [-0.0025, -0.02, -0.015, 0.55],
+                                   [-0.001, -0.005, -0.005, 0.3]]),
                          rmse=0.0)}
     return UcInstance(
         network=net, units=units,
