@@ -120,24 +120,21 @@ def study_wind_table(n_days: int, seed: int) -> dict:
     """Wind realizations, MW: {scenario: {farm: [hour 0 .. 24*n_days-1]}}."""
     rng = np.random.default_rng(seed + 1)
     farms = ["w1", "w2", "w3", "w4"]
-    caps = {f: 150.0 for f in farms}
-    out: dict[str, dict[str, list[float]]] = {}
-    for s in range(N_WIND_SCENARIOS):
-        sid = f"w{s + 1:02d}"
-        out[sid] = {}
-        for farm in farms:
-            series = []
-            dev = 0.0
-            for d in range(n_days):
-                factor = _DAY_FACTOR[d % len(_DAY_FACTOR)]
-                for h in range(24):
-                    # AR(1) multiplicative deviation, common across hours
-                    dev = 0.8 * dev + 0.07 * rng.standard_normal()
-                    frac = _WIND_SHAPE[h] * factor * (1.0 + dev)
-                    series.append(float(np.clip(frac, 0.0, 1.0)
-                                        * caps[farm]))
-            out[sid][farm] = series
-    return out
+    cap = 150.0
+    hours = 24 * n_days
+    noise = rng.standard_normal((N_WIND_SCENARIOS, len(farms), hours))
+    # AR(1) multiplicative deviation, common across hours, per (scenario,
+    # farm)
+    dev = np.empty_like(noise)
+    level = np.zeros(noise.shape[:2])
+    for t in range(hours):
+        level = 0.8 * level + 0.07 * noise[:, :, t]
+        dev[:, :, t] = level
+    shape = np.concatenate([_WIND_SHAPE * _DAY_FACTOR[d % len(_DAY_FACTOR)]
+                            for d in range(n_days)])
+    mw = np.clip(shape * (1.0 + dev), 0.0, 1.0) * cap
+    return {f"w{s + 1:02d}": dict(zip(farms, mw[s].tolist()))
+            for s in range(N_WIND_SCENARIOS)}
 
 
 def write_wind_csv(path: str | Path, n_days: int, seed: int) -> None:

@@ -19,7 +19,6 @@ from .nadir_linearization import (LinearizationError, admitted,
                                   enumerate_commitments, extract_bounds,
                                   fit_pwl, make_nadir_fn, nadir_grid)
 from .scenarios import ScenarioError
-from .solver import get_backend
 from .study import StudyConfig, StudyError, report, run_study
 from .system import SystemDataError, load_system
 from .uc_core import (UcModelError, build_model, dump_solution,
@@ -88,8 +87,7 @@ def cmd_solve(args) -> int:
                     if s.outage_unit is not None}),
             instance.freq_mode, args.seed)
     built = build_model(instance)
-    sol = solve(built, mip_gap=args.mip_gap, time_limit=args.time_limit,
-                backend=get_backend())
+    sol = solve(built, mip_gap=args.mip_gap, time_limit=args.time_limit)
     if not sol.feasible:
         _err(f"solve finished with status {sol.status}")
         return 1

@@ -22,16 +22,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .freq_dynamics import frequency_weights
 from .nadir_linearization import NadirBounds, PwlFit
-from . import solver
 from .scenarios import ContingencyModel, ScenarioTree, build_tree, ingest_wind
-from .solver import FEAS_TOL, INF, SolveResult, SolverModel, get_backend
 from .system import (ConverterFleet, FrequencyLimits,
                      SynchronousUnit, load_system, system_from_dict)
+
+# solver loads scipy's MILP stack, so the functions that build or solve a
+# model import it themselves and the data model loads with numpy alone
+if TYPE_CHECKING:
+    from .solver import SolveResult, SolverModel
 
 FREQ_MODES = ("off", "bounds", "pwl")
 
@@ -228,6 +232,7 @@ class UcSolution:
 
 def build_model(instance: UcInstance) -> BuiltModel:
     """Assemble the full two-stage MILP for one scheduling day."""
+    from .solver import SolverModel
     instance.validate()
     net, units, tree = instance.network, instance.units, instance.tree
     T = instance.horizon
@@ -248,14 +253,14 @@ def build_model(instance: UcInstance) -> BuiltModel:
     # the switching rows they take 0/1 values whenever u is integral
     y = m.add_vars(I * T, 0, 1).reshape(I, T)
     z = m.add_vars(I * T, 0, 1).reshape(I, T)
-    p = m.add_vars(I * T, 0, INF).reshape(I, T)
-    w = m.add_vars(J * T, 0, INF).reshape(J, T)
-    delta_da = m.add_vars(N * T, -INF, INF).reshape(N, T)
-    delta_rt = m.add_vars(N * S * T, -INF, INF).reshape(N, S, T)
-    r_up = m.add_vars(I * S * T, 0, INF).reshape(I, S, T)
-    r_dn = m.add_vars(I * S * T, 0, INF).reshape(I, S, T)
-    spill = m.add_vars(J * S * T, 0, INF).reshape(J, S, T)
-    shed = m.add_vars(N * S * T, 0, INF).reshape(N, S, T)
+    p = m.add_vars(I * T, 0, np.inf).reshape(I, T)
+    w = m.add_vars(J * T, 0, np.inf).reshape(J, T)
+    delta_da = m.add_vars(N * T, -np.inf, np.inf).reshape(N, T)
+    delta_rt = m.add_vars(N * S * T, -np.inf, np.inf).reshape(N, S, T)
+    r_up = m.add_vars(I * S * T, 0, np.inf).reshape(I, S, T)
+    r_dn = m.add_vars(I * S * T, 0, np.inf).reshape(I, S, T)
+    spill = m.add_vars(J * S * T, 0, np.inf).reshape(J, S, T)
+    shed = m.add_vars(N * S * T, 0, np.inf).reshape(N, S, T)
     vm = VarMap(u, y, z, p, w, delta_da, delta_rt, r_up, r_dn, spill, shed)
 
     def per_unit(attr):
@@ -319,8 +324,8 @@ def build_model(instance: UcInstance) -> BuiltModel:
     vals = np.array([[1, -1, 1], [1, 1, -1], [1, -1, 1], [1, -1, 1]])[kind]
     lo_on = np.where(first, -u0[:, None], 0)
     lo = np.stack(np.broadcast_arrays(
-        lo_on, np.where(first, u0[:, None], 0), lo_on, -INF), -1)[..., kind]
-    hi = np.stack(np.broadcast_arrays(INF, INF, INF, np.where(
+        lo_on, np.where(first, u0[:, None], 0), lo_on, -np.inf), -1)[..., kind]
+    hi = np.stack(np.broadcast_arrays(np.inf, np.inf, np.inf, np.where(
         first, 1.0 - u0[:, None], 1.0)), -1)[..., kind]
     ahead = np.concatenate([[0, 0], d, d])
     reach = np.stack(np.broadcast_arrays(
@@ -338,10 +343,10 @@ def build_model(instance: UcInstance) -> BuiltModel:
     ramps[:, :2, 2] = -np.stack([per_unit("p_max"), per_unit("p_min")], 1)
     ramp_up = per_unit("ramp_up")[:, None]
     ramp_dn = per_unit("ramp_down")[:, None]
-    ramp_lo = np.stack(np.broadcast_arrays(-INF, 0.0, -INF, np.where(
+    ramp_lo = np.stack(np.broadcast_arrays(-np.inf, 0.0, -np.inf, np.where(
         first, p0[:, None] - ramp_dn, -ramp_dn)), axis=-1)
-    ramp_hi = np.stack(np.broadcast_arrays(0.0, INF, np.where(
-        first, ramp_up + p0[:, None], ramp_up), INF), axis=-1)
+    ramp_hi = np.stack(np.broadcast_arrays(0.0, np.inf, np.where(
+        first, ramp_up + p0[:, None], ramp_up), np.inf), axis=-1)
     # 0.0 - wind, farm by farm: the sign of a zero right-hand side and the
     # rounding of the sum reach HiGHS
     rhs = np.subtract.reduce(np.where(farm_at[:, :, None, None], wind, 0.0),
@@ -417,19 +422,19 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
         w_rows += [f_w, r_w, m_w]
         lo += [np.array([[b.f_lim, b.r_lim, b.m_lim - m_v]
                          for b in surrogates])]
-        m.add_rows(on, np.stack(w_rows), np.hstack(lo), INF)
+        m.add_rows(on, np.stack(w_rows), np.hstack(lo), np.inf)
         return
     # per cell, each segment's a . R + b . F + c . (M + M_v) + d <= t3 and
     # t3 <= nadir_lim, with one epigraph column t3 per cell
-    t3 = m.add_vars(len(cell_s), -INF, INF)
+    t3 = m.add_vars(len(cell_s), -np.inf, np.inf)
     lo = np.hstack(lo)
     for k, fit in enumerate(surrogates):
         a, b, c, d = fit.coeffs.T[..., None]
-        m.add_rows(on[k], np.stack(w_rows), lo[k], INF)
+        m.add_rows(on[k], np.stack(w_rows), lo[k], np.inf)
         m.add_rows(np.hstack([t3[k], on[k, 0], on[k, 0], on[k, 0]]),
                    np.hstack([-np.ones_like(a), a * r_w, b * f_w, c * m_w]),
-                   -INF, -(d + c * m_v)[:, 0])
-        m.add_rows(t3[k, None], 1.0, -INF, limits.nadir_lim)
+                   -np.inf, -(d + c * m_v)[:, 0])
+        m.add_rows(t3[k, None], 1.0, -np.inf, limits.nadir_lim)
 
 
 def _lag(cols: np.ndarray) -> np.ndarray:
@@ -486,13 +491,15 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
 
     When the scenario tree has outage branches, ``_start_point`` first
     gives a complete point of the day and its gap to a proven lower
-    bound. A point within ``mip_gap`` is returned as ``optimal`` with no
+    bound, re-solving its reduced MILP once when the first proof misses.
+    A point within ``mip_gap`` is returned as ``optimal`` with no
     full run: it records the bound as ``mip_dual_bound``, the proven gap
     as ``mip_gap``, and 0 nodes and simplex iterations. Otherwise the
     full MILP runs with the point as ``start``, which the ``milp``
     fallback ignores. Every solve this takes gets what is left of
     ``time_limit``, and none writes ``built``.
     """
+    from .solver import get_backend
     backend = backend or get_backend()
     t0 = time.perf_counter()
 
@@ -521,20 +528,30 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     stage, the no-outage branches at their full-tree probabilities, the
     frequency rows, which read only u, and every cost left. The outage
     branches have no non-anticipativity rows, so the reduced MILP's dual
-    bound plus each dropped column's cost at its cheaper bound is a lower
-    bound on the full day; down reserve's negative cost makes that term
-    negative.
+    bound B plus each dropped column's cost at its cheaper bound, the
+    outage term ``c_out``, is a lower bound on the full day; down
+    reserve's negative cost makes that term negative.
 
     The reduced MILP's rounded u, fixed in a ``fixed`` copy of the full
     model, leaves an LP whose solution is the point; ``built.model`` is
     not written, and keeps the assembly the copy shares for a full run.
 
+    A point P that misses ``mip_gap`` (g) would close with a reduced
+    bound ``B >= P - g |P| - c_out``, and HiGHS stops the reduced MILP at
+    incumbent R once ``(R - B) / |R| <= g_r``. So when ``g_r = (R - P +
+    g |P| + c_out) / |R|``, for positive objectives ``1 - (P (1 - g) -
+    c_out) / R``, is above 0, the reduced MILP is solved once more from
+    its incumbent at ``mip_gap=g_r``. With ``g_r <= 0`` no reduced bound
+    can close the proof. The better of the two bounds counts, and the day
+    is completed again only if the re-solve changed u, the cheaper point
+    being kept.
+
     Returns the point as the result of a day with no full run: the bound
     as ``mip_dual_bound``, the gap to it relative to the point's objective
     (to 1 when that is 0) as ``mip_gap``, inf with no dual bound, and 0
-    nodes and simplex iterations; None when either solve finds no point.
-    Also returns the simplex iterations of both solves. ``left()`` gives
-    each solve its time limit.
+    nodes and simplex iterations; None when the first reduced solve or
+    its completion finds no point. Also returns the simplex iterations of
+    every solve taken here. ``left()`` gives each solve its time limit.
     """
     inst, m, vm = built.instance, built.model, built.vars
     out = [s for s, scen in enumerate(inst.tree.scenarios)
@@ -542,24 +559,52 @@ def _start_point(built: BuiltModel, mip_gap: float, left,
     cols = np.concatenate([v[:, out].ravel() for v in (
         vm.r_up, vm.r_dn, vm.spill, vm.shed, vm.delta_rt)])
     # u comes first, so it keeps its indices in the reduced model
-    res = backend.solve(m.without(cols), mip_gap=mip_gap, time_limit=left())
-    bound, counts = res.mip_dual_bound, [res.simplex_iterations]
-    if res.has_solution:
-        u = np.rint(res.x[vm.u.ravel()])
-        res = backend.solve(m.fixed(vm.u.ravel(), u), mip_gap=mip_gap,
-                            time_limit=left())
+    reduced, u = m.without(cols), vm.u.ravel()
+    cols = cols[m.c[cols] != 0]     # 0 * inf is nan
+    c = m.c[cols]
+    c_out = float(np.minimum(c * m.lb[cols], c * m.ub[cols]).sum())
+    counts = []
+
+    def counted(res: SolveResult) -> SolveResult:
         counts.append(res.simplex_iterations)
-    iterations = None if None in counts else sum(counts)
-    if res.status != "optimal":
-        return None, iterations
-    gap = INF
+        return res
+
+    def completion(res: SolveResult) -> SolveResult:
+        return counted(backend.solve(m.fixed(u, np.rint(res.x[u])),
+                                     mip_gap=mip_gap, time_limit=left()))
+
+    def gap(point: SolveResult, bound: float) -> float:
+        return (point.objective - bound) / abs(point.objective or 1.0)
+
+    def iterations() -> int | None:
+        return None if None in counts else sum(counts)
+
+    res = counted(backend.solve(reduced, mip_gap=mip_gap, time_limit=left()))
+    point = completion(res) if res.has_solution else res
+    if point.status != "optimal":
+        return None, iterations()
+    bound = res.mip_dual_bound
     if bound is not None:
-        cols = cols[m.c[cols] != 0]     # 0 * inf is nan
-        c = m.c[cols]
-        bound += float(np.minimum(c * m.lb[cols], c * m.ub[cols]).sum())
-        gap = (res.objective - bound) / abs(res.objective or 1.0)
-    return replace(res, mip_gap=gap, mip_dual_bound=bound, mip_node_count=0,
-                   simplex_iterations=0), iterations
+        bound += c_out
+    if bound is not None and gap(point, bound) > mip_gap:
+        # HiGHS's relative gap (R - B) / |R| at which the reduced MILP
+        # stops only with the bound B the proof needs
+        need = point.objective - mip_gap * abs(point.objective or 1.0) - c_out
+        target = (res.objective - need) / abs(res.objective or 1.0)
+        if target > 0:
+            again = counted(backend.solve(reduced, mip_gap=target,
+                                          time_limit=left(), start=res.x))
+            if again.mip_dual_bound is not None:
+                bound = max(bound, again.mip_dual_bound + c_out)
+            if again.has_solution and not np.array_equal(
+                    np.rint(again.x[u]), np.rint(res.x[u])):
+                other = completion(again)
+                if (other.status == "optimal"
+                        and other.objective < point.objective):
+                    point = other
+    proven = np.inf if bound is None else gap(point, bound)
+    return replace(point, mip_gap=proven, mip_dual_bound=bound,
+                   mip_node_count=0, simplex_iterations=0), iterations()
 
 
 def residual_scale(instance: UcInstance) -> float:
@@ -605,6 +650,7 @@ def _commitment_patterns(built: BuiltModel):
     the same series has already proven it infeasible. Patterns are
     screened ``_SCREEN_BLOCK`` at a time.
     """
+    from .solver import FEAS_TOL
     m, vm, inst = built.model, built.vars, built.instance
     I, T = vm.u.shape
     n = I * T
@@ -664,6 +710,7 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     If any LP stops at its time limit the result is ``timeout``, with no
     point: that LP might have been the cheapest.
     """
+    from . import solver
     I, T = len(instance.units), instance.horizon
     if I * T > 16:
         raise InstanceTooLargeError(
@@ -674,7 +721,7 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     # to share
     m.is_int = [False] * m.n_vars
     m.assembly()
-    backend = backend or get_backend()
+    backend = backend or solver.get_backend()
     series = (getattr(backend, "solve_fixed", None)
               or functools.partial(solver.solve_each, backend))
     cols, vals, passes = _commitment_patterns(built)

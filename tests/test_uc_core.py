@@ -2,14 +2,17 @@ import functools
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridfreq
 from gridfreq import solver, system, uc_core
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import fleet_damping
@@ -790,6 +793,48 @@ def test_start_on_a_study_day(monkeypatch):
     assert started.objective == pytest.approx(cold.objective, rel=gap)
 
 
+PINNED_DAY = """
+import json, os, sys
+os.sched_setaffinity(0, {cpus})
+sys.path[:0] = {paths}
+from test_uc_core import study_day_bounds_instance
+from gridfreq.uc_core import build_model, solve
+sol = solve(build_model(study_day_bounds_instance(1)), mip_gap=1e-2)
+print(json.dumps([sol.status, sol.objective.hex(), sol.u.tolist(),
+                  sol.mip_dual_bound]))
+"""
+
+
+@needs_highs
+def test_study_day_ignores_the_cpu_count():
+    """A proven study day comes back bit for bit the same in a process
+    pinned to one CPU and in one that may use every CPU this one may.
+
+    The mask is set in each child before numpy loads, so OpenBLAS sizes
+    its pools from it: on a 2-CPU machine the two-CPU child gains a
+    thread when numpy loads and one when scipy does, the one-CPU child
+    none. HiGHS's thread count does not follow the mask. It sizes its
+    default pool from ``std::thread::hardware_concurrency()``, which
+    glibc takes from the online CPUs (``get_nprocs()`` gave 2 in a
+    process pinned to one of 2 CPUs, glibc 2.36), and neither child
+    starts a HiGHS thread during the solve. So this pins the answer to
+    the CPUs the process may use, not to HiGHS's thread count, which
+    only its ``threads`` option would change; gridfreq leaves it at the
+    default.
+    """
+    paths = [str(Path(gridfreq.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    every = sorted(os.sched_getaffinity(0))
+    children = [subprocess.Popen(
+        [sys.executable, "-c", PINNED_DAY.format(cpus=cpus, paths=paths)],
+        stdout=subprocess.PIPE, text=True) for cpus in ({every[0]}, every)]
+    one, all_cpus = [json.loads(child.communicate(timeout=300)[0])
+                     for child in children]
+    assert all(child.returncode == 0 for child in children)
+    assert one[0] == "optimal"
+    assert one == all_cpus
+
+
 @pytest.mark.parametrize("make, highs, calls", [
     pytest.param(small_instance, True, 3, marks=needs_highs),
     pytest.param(lambda: small_instance(contingency=False), True, 1,
@@ -895,6 +940,62 @@ def test_proof_or_full_run(make, mip_gap, calls):
         assert sol.mip_node_count == sol.simplex_iterations == 0
         assert sol.mip_gap == pytest.approx(
             (sol.objective - sol.mip_dual_bound) / sol.objective)
+
+
+class WeakBound(SpyBackend):
+    """Reports the first ``weak`` reduced MILPs' dual bounds 2% of their
+    objective lower, a valid bound the proof misses with; records each
+    solve as (kind, mip_gap, whether it had a start, iterations)."""
+
+    def __init__(self, built, weak):
+        super().__init__()
+        self.built, self.weak, self.log = built, weak, []
+
+    def solve(self, model, **kwargs):
+        res = super().solve(model, **kwargs)
+        kind = ("full" if model is self.built.model else "completion"
+                if model.n_vars == self.built.model.n_vars else "reduced")
+        if kind == "reduced" and self.weak:
+            self.weak -= 1
+            res = replace(res, mip_dual_bound=res.mip_dual_bound
+                          - 0.02 * abs(res.objective))
+        self.log.append((kind, kwargs["mip_gap"], "start" in kwargs,
+                         res.simplex_iterations))
+        return res
+
+
+@needs_highs
+@pytest.mark.parametrize("make, mip_gap, weak, kinds", [
+    (small_bounds_instance, 1e-2, 1, ["reduced", "completion", "reduced"]),
+    (small_bounds_instance, 1e-2, 2,
+     ["reduced", "completion", "reduced", "full"]),
+    (small_instance, 1e-9, 0, ["reduced", "completion", "full"])],
+    ids=["retry_closes", "retry_misses", "no_retry"])
+def test_missed_proof_retries_once(make, mip_gap, weak, kinds):
+    """A missed proof re-solves the reduced MILP once, from its incumbent,
+    at the gap the proof needs; the full MILP runs only if that misses
+    too. On small_instance at 1e-9 the outage branches alone cost more
+    than the gap allows, so the full MILP runs with no retry."""
+    built = build_model(make())
+    backend = WeakBound(built, weak)
+    sol = solve(built, mip_gap=mip_gap, backend=backend)
+    assert sol.status == "optimal"
+    assert [k for k, *_ in backend.log] == kinds
+    # only the retry runs at another gap, and it is the one reduced solve
+    # that gets a start
+    for k, gap, started, _ in backend.log:
+        retry = k == "reduced" and gap != mip_gap
+        assert started == (retry or k == "full")
+        assert not retry or 0 < gap < mip_gap
+    assert sol.start_iterations == sum(
+        it for k, _, _, it in backend.log if k != "full")
+    if kinds[-1] == "full":
+        assert sol.mip_node_count is not None
+        assert sol.simplex_iterations > 0
+    else:
+        assert sol.mip_node_count == sol.simplex_iterations == 0
+        assert sol.mip_gap <= mip_gap
+        assert sol.mip_dual_bound <= sol.objective
 
 
 class Wrapped:
