@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
         _err(f"solve finished with status {sol.status}")
         return 1
     scale = residual_scale(instance)
-    if sol.max_residual > 1e-6 * scale:
+    if not sol.max_residual <= 1e-6 * scale:   # a NaN residual fails too
         _err(f"solution residual {sol.max_residual:.3e} exceeds tolerance")
         return 1
     dump_solution(sol, instance, args.out)

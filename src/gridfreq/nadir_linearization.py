@@ -25,6 +25,9 @@ _BOUND_BINS = 64       # quantile bins per axis of the binned bound search
 # bounds their temporaries
 _CLOUD_BLOCK = 1 << 14
 _FIT_MAX_ITER = 100    # assignment/refit rounds per max-affine restart
+# (restart, point) pairs per block of the batched max-affine fit, which
+# bounds its temporaries
+_FIT_BLOCK = 1 << 14
 
 
 class LinearizationError(ValueError):
@@ -287,6 +290,44 @@ def _extract_bounds_binned(cloud: CommitmentCloud) -> NadirBounds:
                        m_lim=float(m_edges[ci[best]]))
 
 
+def _segment_lstsq(design: np.ndarray, y: np.ndarray, moments: np.ndarray,
+                   member: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of every segment of every restart.
+
+    ``member`` is (R, k, n): 1 where a point belongs to a segment, 0
+    elsewhere.  ``moments`` holds each point's design outer product and
+    design row times value.  Segment (r, s) gets what ``np.linalg.lstsq``
+    gives on its points, the minimum-norm answer included when they span
+    fewer dimensions than the design has columns (coplanar grid points,
+    say).  It is solved from the eigenvectors of the segment's Gram
+    matrix.  Eigenvalues at or below ``d1 * max(count, d1) * eps`` of the
+    largest are dropped: that is as far as rounding in the Gram matrix's
+    sums of ``count`` products can move one.  One refinement step on the
+    residuals then recovers the digits that the normal equations lose.
+
+    Each product is one small BLAS call per restart, (k, n) by (n, .).
+    OpenBLAS keeps a product on one thread while m * n * k <= 2^18, so
+    for grids up to about 3,000 points at k = 4 the answer does not
+    depend on the CPU count.
+    """
+    d1 = design.shape[1]
+    sums = member @ moments
+    lam, vec = np.linalg.eigh(
+        sums[..., :d1 * d1].reshape(member.shape[:2] + (d1, d1)))
+    cut = (np.finfo(float).eps * d1 * np.maximum(member.sum(axis=2), d1)
+           * lam[..., -1])
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
+                    where=lam > cut[..., None])
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return np.einsum("...ij,...j->...i", vec,
+                         inv * np.einsum("...ji,...j->...i", vec, rhs))
+
+    coeffs = solve(sums[..., d1 * d1:])
+    res = member * (y - coeffs @ design.T)
+    return coeffs + solve(res @ design)
+
+
 def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
                    restarts: int = 20, seed: int = 0,
                    warm_start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -298,78 +339,109 @@ def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
     each segment on its assigned points, keeping the best objective seen;
     the recorded objective is therefore non-increasing.  ``warm_start``
     adds one restart initialized from existing segment coefficients
-    (padded by duplication when it has fewer rows).
+    (padded by duplication when it has fewer rows).  The first restart
+    with the least objective wins, the warm start before the others.
+
+    The restarts advance together, ``_FIT_BLOCK // n`` at a time.  A
+    round is one product for every prediction, one assignment and one
+    batched least-squares solve (``_segment_lstsq``) for every (restart,
+    segment) pair, and a restart that has stopped leaves the batch.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     y = np.asarray(values, dtype=float)
     n, dim = pts.shape
-    if n < 4 * n_segments:
+    k, d1 = n_segments, dim + 1
+    if k < 1:
+        raise LinearizationError(f"need at least 1 segment, got {k}")
+    if n < 4 * k:
         raise LinearizationError(
-            f"grid of {n} points too sparse for {n_segments} segments "
-            f"(need >= {4 * n_segments})")
+            f"grid of {n} points too sparse for {k} segments "
+            f"(need >= {4 * k})")
+    if restarts < 0:
+        raise LinearizationError(f"restarts must be >= 0, got {restarts}")
     design = np.hstack([pts, np.ones((n, 1))])
+    moments = np.hstack([(design[:, :, None] * design[:, None, :])
+                         .reshape(n, d1 * d1), design * y[:, None]])
+    segment = np.arange(k)[:, None]
     rng = np.random.default_rng(seed)
 
-    def objective(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
-        pred = (design @ coeffs.T).max(axis=1)
-        res = pred - y
-        return float(res @ res), pred
+    def predict(coeffs: np.ndarray):
+        """Segment values, their max and the objective of each restart."""
+        pred = coeffs @ design.T
+        top = pred.max(axis=1)
+        res = top - y
+        return pred, top, np.vecdot(res, res)
 
-    def refit(coeffs: np.ndarray) -> np.ndarray:
-        pred = design @ coeffs.T
-        assign = np.argmax(pred, axis=1)
-        new = coeffs.copy()
-        for s in range(n_segments):
-            sel = assign == s
-            if np.count_nonzero(sel) < dim + 1:
-                # dead or degenerate segment: reseed on worst-fit points
-                res = np.abs(pred.max(axis=1) - y)
-                sel = np.argsort(res)[-(dim + 1):]
-            sol, *_ = np.linalg.lstsq(design[sel], y[sel], rcond=None)
-            new[s] = sol
-        return new
+    def refit(pred: np.ndarray, top: np.ndarray) -> np.ndarray:
+        # each point goes to its first segment with the top value
+        member = np.empty(pred.shape)
+        free = np.ones(top.shape, dtype=bool)
+        for s in range(k):
+            hit = free & (pred[:, s] == top)
+            member[:, s] = hit
+            free &= ~hit
+        # dead or degenerate segment: reseed on its restart's worst-fit
+        # points
+        r, s = np.nonzero(member.sum(axis=2) < d1)
+        worst = np.argsort(np.abs(top[r] - y), axis=1)[:, -d1:]
+        member[r, s] = 0.0
+        member[r[:, None], s[:, None], worst] = 1.0
+        return _segment_lstsq(design, y, moments, member)
 
-    inits = []
+    def partitions(n_fit: int) -> np.ndarray:
+        """Random partition inits: each segment fit on a random subset."""
+        assign = np.empty((n_fit, n), dtype=np.intp)
+        reseed = []   # (restart, segment, points) of each sparse segment
+        for r in range(n_fit):
+            assign[r] = rng.integers(0, k, n)
+            sizes = np.bincount(assign[r], minlength=k)
+            for s in np.flatnonzero(sizes < d1):
+                reseed.append((r, s, rng.choice(n, d1, replace=False)))
+        member = (assign[:, None, :] == segment).astype(float)
+        for r, s, sel in reseed:
+            member[r, s] = 0.0
+            member[r, s, sel] = 1.0
+        return _segment_lstsq(design, y, moments, member)
+
+    def descend(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rounds until each restart stops; its last accepted fit."""
+        pred, top, obj = predict(coeffs)
+        obj_out = obj.copy()
+        running = np.arange(len(coeffs))
+        for _ in range(_FIT_MAX_ITER):
+            if len(running) == 0:
+                break
+            new = refit(pred, top)
+            pred, top, new_obj = predict(new)
+            finite = np.isfinite(new_obj)
+            go_on = finite & ~(new_obj >= obj - 1e-14)
+            take = go_on | (finite & (new_obj < obj))
+            coeffs[running[take]] = new[take]
+            obj_out[running[take]] = new_obj[take]
+            running = running[go_on]
+            pred, top, obj = pred[go_on], top[go_on], new_obj[go_on]
+        return coeffs, obj_out
+
+    fits = []
     if warm_start is not None:
         ws = np.asarray(warm_start, dtype=float)
-        if ws.shape[0] < n_segments:
-            pad = ws[rng.integers(0, ws.shape[0],
-                                  n_segments - ws.shape[0])]
+        if ws.shape[0] < k:
+            pad = ws[rng.integers(0, ws.shape[0], k - ws.shape[0])]
             ws = np.vstack([ws, pad])
-        inits.append(ws[:n_segments])
-    for _ in range(restarts):
-        # random partition init: fit each segment on a random point subset
-        coeffs = np.empty((n_segments, dim + 1))
-        assign = rng.integers(0, n_segments, n)
-        for s in range(n_segments):
-            sel = assign == s
-            if np.count_nonzero(sel) < dim + 1:
-                sel = rng.choice(n, dim + 1, replace=False)
-            sol, *_ = np.linalg.lstsq(design[sel], y[sel], rcond=None)
-            coeffs[s] = sol
-        inits.append(coeffs)
-
-    best_obj = math.inf
-    best_coeffs = None
-    for coeffs in inits:
-        obj, _ = objective(coeffs)
-        for _ in range(_FIT_MAX_ITER):
-            new = refit(coeffs)
-            new_obj, _ = objective(new)
-            if not np.isfinite(new_obj):
-                break
-            if new_obj >= obj - 1e-14:
-                if new_obj < obj:
-                    coeffs, obj = new, new_obj
-                break
-            coeffs, obj = new, new_obj
-        if obj < best_obj:
-            best_obj, best_coeffs = obj, coeffs
-    if best_coeffs is None:
+        fits.append(descend(ws[None, :k].copy()))
+    per_block = max(1, _FIT_BLOCK // n)
+    for lo in range(0, restarts, per_block):
+        fits.append(descend(partitions(min(per_block, restarts - lo))))
+    # NaN and inf never win
+    obj = np.concatenate([o for _, o in fits]) if fits else np.empty(0)
+    obj = np.where(obj < math.inf, obj, math.inf)
+    if not np.any(obj < math.inf):
         raise LinearizationError("max-affine fit failed on every restart")
-    return best_coeffs, math.sqrt(best_obj / n)
+    best = int(np.argmin(obj))
+    coeffs = np.concatenate([c for c, _ in fits])
+    return coeffs[best].copy(), math.sqrt(float(obj[best]) / n)
 
 
 def nadir_grid(cloud: CommitmentCloud, n_per_dim: int) -> np.ndarray:

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gridfreq import nadir_linearization
+from gridfreq import cli, nadir_linearization
 from gridfreq.cli import main
 from gridfreq.nadir_linearization import NadirBounds
 from gridfreq.system import (ConverterFleet, FrequencyLimits, PowerSystem,
                              save_system)
+from gridfreq.uc_core import solve
 
 from conftest import make_unit
 
@@ -140,6 +141,19 @@ class TestLinearize:
         assert len(payload["segments"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--segments", "0", "need at least 1 segment, got 0"),
+        ("--restarts", "-1", "restarts must be >= 0, got -1"),
+    ])
+    def test_bad_fit_arguments(self, case_dir, capsys, flag, value, error):
+        out = case_dir / "fit.json"
+        assert main(["linearize", "--method", "pwl",
+                     "--system", str(case_dir / "system.json"),
+                     "--outage", "g3", "--out", str(out),
+                     flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_unsafe_box_is_an_error(self, case_dir, capsys, monkeypatch):
         monkeypatch.setattr(nadir_linearization, "admitted",
                             lambda cloud, bounds: np.ones(len(cloud), bool))
@@ -176,6 +190,20 @@ class TestSolve:
         on = json.loads((case_dir / "sol_bounds/costs.json").read_text())
         assert on["objective"] >= off["objective"] - 1e-6
         capsys.readouterr()
+
+    def test_nan_residual_is_an_error(self, case_dir, capsys, monkeypatch):
+        def nan_residual(built, **kwargs):
+            sol = solve(built, **kwargs)
+            sol.max_residual = float("nan")
+            return sol
+
+        monkeypatch.setattr(cli, "solve", nan_residual)
+        out = case_dir / "sol"
+        assert main(["solve", "--config", str(case_dir / "instance.json"),
+                     "--out", str(out), "--freq-mode", "off"]) == 1
+        assert capsys.readouterr().err == (
+            "error: solution residual nan exceeds tolerance\n")
+        assert not out.exists()
 
     def test_missing_instance(self, case_dir, capsys):
         assert main(["solve", "--config", str(case_dir / "nope.json"),

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridfreq
 from gridfreq.casedata import study_template
 from gridfreq.freq_dynamics import aggregate_params, fleet_damping, \
     frequency_metrics
@@ -246,7 +252,155 @@ def test_exact_bounds_frozen(limits):
     assert got == expected
 
 
+def loop_fit_max_affine(points, values, n_segments, restarts=20, seed=0,
+                        warm_start=None):
+    """The per-restart loop that ``fit_max_affine`` batches: one restart at
+    a time, one ``np.linalg.lstsq`` per segment per round."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    y = np.asarray(values, dtype=float)
+    n, dim = pts.shape
+    design = np.hstack([pts, np.ones((n, 1))])
+    rng = np.random.default_rng(seed)
+
+    def objective(coeffs):
+        res = (design @ coeffs.T).max(axis=1) - y
+        return float(res @ res)
+
+    def refit(coeffs):
+        pred = design @ coeffs.T
+        assign = np.argmax(pred, axis=1)
+        new = coeffs.copy()
+        for s in range(n_segments):
+            sel = assign == s
+            if np.count_nonzero(sel) < dim + 1:
+                res = np.abs(pred.max(axis=1) - y)
+                sel = np.argsort(res)[-(dim + 1):]
+            new[s] = np.linalg.lstsq(design[sel], y[sel], rcond=None)[0]
+        return new
+
+    inits = []
+    if warm_start is not None:
+        ws = np.asarray(warm_start, dtype=float)
+        if ws.shape[0] < n_segments:
+            pad = ws[rng.integers(0, ws.shape[0],
+                                  n_segments - ws.shape[0])]
+            ws = np.vstack([ws, pad])
+        inits.append(ws[:n_segments])
+    for _ in range(restarts):
+        coeffs = np.empty((n_segments, dim + 1))
+        assign = rng.integers(0, n_segments, n)
+        for s in range(n_segments):
+            sel = assign == s
+            if np.count_nonzero(sel) < dim + 1:
+                sel = rng.choice(n, dim + 1, replace=False)
+            coeffs[s] = np.linalg.lstsq(design[sel], y[sel], rcond=None)[0]
+        inits.append(coeffs)
+
+    best_obj, best_coeffs = math.inf, None
+    for coeffs in inits:
+        obj = objective(coeffs)
+        for _ in range(nl._FIT_MAX_ITER):
+            new = refit(coeffs)
+            new_obj = objective(new)
+            if not np.isfinite(new_obj):
+                break
+            if new_obj >= obj - 1e-14:
+                if new_obj < obj:
+                    coeffs, obj = new, new_obj
+                break
+            coeffs, obj = new, new_obj
+        if obj < best_obj:
+            best_obj, best_coeffs = obj, coeffs
+    return best_coeffs, math.sqrt(best_obj / n)
+
+
+def fit_cases():
+    """(points, values) of a nadir grid, of a seeded random cloud, and of
+    one with 16 points, where segments start and fall below 4 points."""
+    fleet = ConverterFleet(vsm_capacity=100.0, droop_capacity=50.0)
+    limits = FrequencyLimits()
+    cloud = enumerate_commitments(synthetic_fleet(8), "u1", fleet, limits,
+                                  7.0)
+    fn = make_nadir_fn(cloud.d, 7.0, cloud.delta_p, limits, m_v=cloud.m_v)
+    grid = nadir_grid(cloud, 5)
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-2.0, 2.0, size=(150, 3))
+    vals = (np.maximum(pts[:, 0], 0.4 * pts[:, 1] ** 2)
+            + 0.2 * np.abs(pts[:, 2]) + 0.05 * rng.standard_normal(150))
+    return {"nadir": (grid, fn(grid[:, 0], grid[:, 1], grid[:, 2])),
+            "random": (pts, vals), "sparse": (pts[:16], vals[:16])}
+
+
 class TestMaxAffine:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("case", ["nadir", "random", "sparse"])
+    def test_matches_the_per_restart_loop(self, case, k, warm):
+        points, values = fit_cases()[case]
+        ws = (loop_fit_max_affine(points, values, k - 1, restarts=5,
+                                  seed=3)[0] if warm else None)
+        want, want_rmse = loop_fit_max_affine(points, values, k,
+                                              restarts=25, seed=9,
+                                              warm_start=ws)
+        got, rmse = fit_max_affine(points, values, k, restarts=25, seed=9,
+                                   warm_start=ws)
+        assert rmse == pytest.approx(want_rmse, rel=1e-12, abs=0.0)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("case, k", [("nadir", 3), ("sparse", 2)])
+    def test_zero_restarts_refits_the_warm_start(self, case, k):
+        # the warm start is padded by a copy of one of its segments, so
+        # points tie between the two and go to the first
+        points, values = fit_cases()[case]
+        ws = loop_fit_max_affine(points, values, k - 1, restarts=1)[0]
+        want, want_rmse = loop_fit_max_affine(points, values, k, restarts=0,
+                                              seed=4, warm_start=ws)
+        got, rmse = fit_max_affine(points, values, k, restarts=0, seed=4,
+                                   warm_start=ws)
+        assert rmse == pytest.approx(want_rmse, rel=1e-12, abs=0.0)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["collinear", "coplanar"])
+    def test_degenerate_segment_gets_the_minimum_norm_answer(self, shape):
+        # one segment holds every point, so the fit is one least-squares
+        # solve on a rank-deficient design: 2 of 4 columns when the points
+        # lie on a line, 3 of 4 on a plane of the grid
+        if shape == "collinear":
+            t = np.linspace(0.0, 1.0, 9)
+            pts = np.array([0.3, -1.2, 2.0]) + t[:, None] * [1.0, 0.5, -2.0]
+            vals = np.exp(t)
+        else:
+            r, f = np.meshgrid(np.linspace(0.1, 0.9, 4),
+                               np.linspace(0.2, 0.5, 3), indexing="ij")
+            pts = np.column_stack([r.ravel(), f.ravel(),
+                                   np.full(r.size, 7.25)])
+            vals = np.sin(3 * r.ravel()) * f.ravel()
+        design = np.hstack([pts, np.ones((len(pts), 1))])
+        want, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+        assert rank == (2 if shape == "collinear" else 3)
+        got, _ = fit_max_affine(pts, vals, 1, restarts=1)
+        assert np.abs(got[0] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    def test_block_size_does_not_change_bits(self, monkeypatch, block):
+        points, values = fit_cases()["nadir"]
+        want = fit_max_affine(points, values, 4, restarts=30, seed=2)
+        monkeypatch.setattr(nl, "_FIT_BLOCK", block)
+        got = fit_max_affine(points, values, 4, restarts=30, seed=2)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    @pytest.mark.parametrize("k, restarts, match", [
+        (0, 5, "need at least 1 segment, got 0"),
+        (-2, 5, "need at least 1 segment, got -2"),
+        (2, -1, "restarts must be >= 0, got -1"),
+    ])
+    def test_bad_arguments_rejected(self, k, restarts, match):
+        x = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(LinearizationError, match=match):
+            fit_max_affine(x, np.exp(x), k, restarts=restarts)
+
     def test_absolute_value_exact(self):
         x = np.linspace(-1.0, 1.0, 41)
         coeffs, rmse = fit_max_affine(x, np.abs(x), 2, restarts=20, seed=0)
@@ -305,3 +459,39 @@ class TestPwlFit:
         payload = json.loads(path.read_text())
         assert len(payload["segments"]) == 3
         assert payload["rmse"] == fit.rmse
+
+
+PINNED_FIT = """
+import json, os, sys
+os.sched_setaffinity(0, {cpus})
+sys.path[:0] = {paths}
+from test_nadir_linearization import pinned_fit
+print(json.dumps(pinned_fit()))
+"""
+
+
+def pinned_fit():
+    """One study-sized surrogate fit, as hex floats."""
+    fleet = ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0)
+    limits = FrequencyLimits()
+    cloud = enumerate_commitments(synthetic_fleet(10), "u1", fleet, limits,
+                                  7.0)
+    fn = make_nadir_fn(cloud.d, 7.0, cloud.delta_p, limits, m_v=cloud.m_v)
+    fit = fit_pwl(fn, nadir_grid(cloud, 6), 4, restarts=120, seed=0)
+    return [float(c).hex() for c in fit.coeffs.ravel()] + [fit.rmse.hex()]
+
+
+def test_fit_pwl_ignores_the_cpu_count():
+    """A PWL fit comes back bit for bit the same in a process pinned to
+    one CPU and in one that may use every CPU this one may.  The mask is
+    set before numpy loads, so OpenBLAS sizes its thread pool from it."""
+    paths = [str(Path(gridfreq.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    every = sorted(os.sched_getaffinity(0))
+    children = [subprocess.Popen(
+        [sys.executable, "-c", PINNED_FIT.format(cpus=cpus, paths=paths)],
+        stdout=subprocess.PIPE, text=True) for cpus in ({every[0]}, every)]
+    one, all_cpus = [json.loads(child.communicate(timeout=300)[0])
+                     for child in children]
+    assert all(child.returncode == 0 for child in children)
+    assert one == all_cpus

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -109,6 +110,21 @@ class TestRolling:
         direct = solve(build_model(inst), mip_gap=1e-6)
         assert res.total_cost() == pytest.approx(direct.objective, rel=1e-6)
         assert res.solution_u().shape == (3, 24)
+
+    @pytest.mark.parametrize("residual, shown", [(float("nan"), "nan"),
+                                                 (1.0, "1.000e+00")])
+    def test_residual_over_tolerance_is_refused(self, monkeypatch, residual,
+                                                shown):
+        def off_tolerance(built, **kwargs):
+            sol = solve(built, **kwargs)
+            sol.max_residual = residual
+            return sol
+
+        monkeypatch.setattr(study, "solve", off_tolerance)
+        cfg = config(n_days=1, freq_mode="off", contingency_hour=19)
+        with pytest.raises(StudyError, match=re.escape(
+                f"day 1 (off) residual {shown} exceeds tolerance 1.500e-04")):
+            run_study(small_template(), cfg)
 
     def test_carry_state_accumulates_across_days(self):
         units = [make_unit(uid="a", min_up=5, min_down=4)]
