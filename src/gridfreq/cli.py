@@ -22,7 +22,7 @@ from .scenarios import ScenarioError
 from .study import StudyConfig, StudyError, report, run_study
 from .system import SystemDataError, load_system
 from .uc_core import (UcModelError, build_model, dump_solution,
-                      load_instance, residual_scale, solve)
+                      load_instance, residual_ok, solve)
 
 DOMAIN_ERRORS = (SystemDataError, ScenarioError, FrequencyModelError,
                  LinearizationError, UcModelError, StudyError,
@@ -91,8 +91,7 @@ def cmd_solve(args) -> int:
     if not sol.feasible:
         _err(f"solve finished with status {sol.status}")
         return 1
-    scale = residual_scale(instance)
-    if not sol.max_residual <= 1e-6 * scale:   # a NaN residual fails too
+    if not residual_ok(sol, instance):
         _err(f"solution residual {sol.max_residual:.3e} exceeds tolerance")
         return 1
     dump_solution(sol, instance, args.out)

@@ -299,11 +299,12 @@ def _segment_lstsq(design: np.ndarray, y: np.ndarray, moments: np.ndarray,
     design row times value.  Segment (r, s) gets what ``np.linalg.lstsq``
     gives on its points, the minimum-norm answer included when they span
     fewer dimensions than the design has columns (coplanar grid points,
-    say).  It is solved from the eigenvectors of the segment's Gram
-    matrix.  Eigenvalues at or below ``d1 * max(count, d1) * eps`` of the
-    largest are dropped: that is as far as rounding in the Gram matrix's
-    sums of ``count`` products can move one.  One refinement step on the
-    residuals then recovers the digits that the normal equations lose.
+    say).  It is solved through the Hermitian pseudo-inverse of the
+    segment's Gram matrix, whose eigenvalues at or below
+    ``d1 * max(count, d1) * eps`` of the largest are dropped: that is as
+    far as rounding in the Gram matrix's sums of ``count`` products can
+    move one.  One refinement step on the residuals then recovers the
+    digits that the normal equations lose.
 
     Each product is one small BLAS call per restart, (k, n) by (n, .).
     OpenBLAS keeps a product on one thread while m * n * k <= 2^18, so
@@ -312,20 +313,13 @@ def _segment_lstsq(design: np.ndarray, y: np.ndarray, moments: np.ndarray,
     """
     d1 = design.shape[1]
     sums = member @ moments
-    lam, vec = np.linalg.eigh(
-        sums[..., :d1 * d1].reshape(member.shape[:2] + (d1, d1)))
-    cut = (np.finfo(float).eps * d1 * np.maximum(member.sum(axis=2), d1)
-           * lam[..., -1])
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
-                    where=lam > cut[..., None])
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", vec,
-                         inv * np.einsum("...ji,...j->...i", vec, rhs))
-
-    coeffs = solve(sums[..., d1 * d1:])
+    cut = np.finfo(float).eps * d1 * np.maximum(member.sum(axis=2), d1)
+    pinv = np.linalg.pinv(
+        sums[..., :d1 * d1].reshape(member.shape[:2] + (d1, d1)),
+        rcond=cut, hermitian=True)
+    coeffs = (pinv @ sums[..., d1 * d1:, None])[..., 0]
     res = member * (y - coeffs @ design.T)
-    return coeffs + solve(res @ design)
+    return coeffs + (pinv @ (res @ design)[..., None])[..., 0]
 
 
 def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
@@ -372,7 +366,7 @@ def fit_max_affine(points: np.ndarray, values: np.ndarray, n_segments: int,
         pred = coeffs @ design.T
         top = pred.max(axis=1)
         res = top - y
-        return pred, top, np.vecdot(res, res)
+        return pred, top, np.einsum("ij,ij->i", res, res)
 
     def refit(pred: np.ndarray, top: np.ndarray) -> np.ndarray:
         # each point goes to its first segment with the top value

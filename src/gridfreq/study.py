@@ -25,7 +25,8 @@ from .nadir_linearization import (cloud_point, enumerate_commitments,
 from .scenarios import ContingencyModel, WindScenario, build_tree
 from .system import PowerSystem
 from .uc_core import (InitialState, Network, UcInstance, UcSolution,
-                      build_model, dump_solution, residual_scale, solve)
+                      build_model, dump_solution, residual_ok,
+                      residual_tol, solve)
 
 
 class StudyError(RuntimeError):
@@ -234,11 +235,10 @@ def run_study(template: StudyTemplate, config: StudyConfig,
         if not sol.feasible:
             raise StudyError(
                 f"day {day} ({mode}) came back {sol.status}")
-        tol = 1e-6 * residual_scale(inst)
-        if not sol.max_residual <= tol:   # a NaN residual fails too
+        if not residual_ok(sol, inst):
             raise StudyError(
                 f"day {day} ({mode}) residual {sol.max_residual:.3e} "
-                f"exceeds tolerance {tol:.3e}")
+                f"exceeds tolerance {residual_tol(inst):.3e}")
         if mode == "bounds":
             _assert_cloud_membership(inst, sol)
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,

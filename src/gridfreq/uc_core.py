@@ -612,6 +612,16 @@ def residual_scale(instance: UcInstance) -> float:
                         for series in instance.network.demand.values()))
 
 
+def residual_tol(instance: UcInstance) -> float:
+    """Largest constraint residual a solution of ``instance`` may keep."""
+    return 1e-6 * residual_scale(instance)
+
+
+def residual_ok(sol: UcSolution, instance: UcInstance) -> bool:
+    """Whether the residual is within ``residual_tol``; NaN is not."""
+    return bool(sol.max_residual <= residual_tol(instance))
+
+
 def cost_breakdown(sol: UcSolution, instance: UcInstance) -> dict:
     """Objective split into startup, operation, reserve and shed parts."""
     units = instance.units

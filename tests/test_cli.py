@@ -191,18 +191,21 @@ class TestSolve:
         assert on["objective"] >= off["objective"] - 1e-6
         capsys.readouterr()
 
-    def test_nan_residual_is_an_error(self, case_dir, capsys, monkeypatch):
-        def nan_residual(built, **kwargs):
+    @pytest.mark.parametrize("residual, shown", [(float("nan"), "nan"),
+                                                 (1.0, "1.000e+00")])
+    def test_residual_over_tolerance_is_an_error(self, case_dir, capsys,
+                                                 monkeypatch, residual, shown):
+        def off_tolerance(built, **kwargs):
             sol = solve(built, **kwargs)
-            sol.max_residual = float("nan")
+            sol.max_residual = residual
             return sol
 
-        monkeypatch.setattr(cli, "solve", nan_residual)
+        monkeypatch.setattr(cli, "solve", off_tolerance)
         out = case_dir / "sol"
         assert main(["solve", "--config", str(case_dir / "instance.json"),
                      "--out", str(out), "--freq-mode", "off"]) == 1
         assert capsys.readouterr().err == (
-            "error: solution residual nan exceeds tolerance\n")
+            f"error: solution residual {shown} exceeds tolerance\n")
         assert not out.exists()
 
     def test_missing_instance(self, case_dir, capsys):

@@ -8,6 +8,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               UcModelError, WindFarm, _commitment_patterns,
                               brute_force_uc, build_model,
-                              dump_solution, load_instance, residual_scale,
-                              solve)
+                              dump_solution, load_instance, residual_ok,
+                              residual_scale, residual_tol, solve)
 
 from conftest import make_unit
 
@@ -95,6 +96,16 @@ def test_residuals_small():
     inst = small_instance()
     sol = solve(build_model(inst), mip_gap=1e-9)
     assert sol.max_residual <= 1e-6 * residual_scale(inst)
+
+
+def test_residual_ok_refuses_nan_and_excess():
+    inst = small_instance()
+    tol = residual_tol(inst)
+    assert tol == 1e-6 * residual_scale(inst)
+    for residual, ok in [(0.0, True), (tol, True), (2 * tol, False),
+                         (float("nan"), False)]:
+        assert residual_ok(SimpleNamespace(max_residual=residual),
+                           inst) is ok
 
 
 def test_cost_breakdown_sums():
