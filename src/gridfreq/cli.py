@@ -83,8 +83,7 @@ def cmd_solve(args) -> int:
         instance.surrogates = prepare_surrogates(
             instance.units, instance.fleet, instance.limits,
             instance.t_turbine,
-            sorted({s.outage_unit for s in instance.tree.scenarios
-                    if s.outage_unit is not None}),
+            sorted(instance.tree.outage_branches),
             instance.freq_mode, args.seed)
     built = build_model(instance)
     sol = solve(built, mip_gap=args.mip_gap, time_limit=args.time_limit)

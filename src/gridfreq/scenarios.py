@@ -71,6 +71,19 @@ class ScenarioTree:
     # contingency cell of contingency scenarios
     outage_size: np.ndarray = field(repr=False)
 
+    @property
+    def outage_branches(self) -> dict[str, int]:
+        """Each outage unit's first scenario index, in scenario order.
+
+        The state after an outage depends only on the first-stage
+        commitment, so that scenario stands for the unit's whole branch.
+        """
+        first: dict[str, int] = {}
+        for s, scen in enumerate(self.scenarios):
+            if scen.outage_unit is not None:
+                first.setdefault(scen.outage_unit, s)
+        return first
+
 
 def contingency_probabilities(model: ContingencyModel
                               ) -> tuple[float, dict[str, float]]:

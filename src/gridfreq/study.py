@@ -262,8 +262,7 @@ def _after_outage(sol: UcSolution, instance: UcInstance,
     scenario of the outage's branch stands for all of them.
     """
     tree = instance.tree
-    s = next((s for s, sc in enumerate(tree.scenarios)
-              if sc.outage_unit == outage), None)
+    s = tree.outage_branches.get(outage)
     if s is None:
         raise StudyError(f"unit {outage} has no outage branch, so no "
                          f"disturbance")

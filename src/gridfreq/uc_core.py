@@ -164,8 +164,7 @@ class UcInstance:
                         f"wind series of {farm} in scenario {s.id} shorter "
                         f"than horizon {self.horizon}")
         if self.freq_mode in ("bounds", "pwl"):
-            needed = {s.outage_unit for s in self.tree.scenarios
-                      if s.outage_unit is not None}
+            needed = set(self.tree.outage_branches)
             have = set(self.surrogates or {})
             if not needed <= have:
                 raise UcModelError(
@@ -402,17 +401,14 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     alpha = tree.availability
     f_b = limits.f_base
 
-    # with no outage every row below reads (coefficients >= 0) . u >= a
-    # bound <= 0, which any commitment meets, so rows go only to the
-    # outage cells (s, t), in C order
-    cell_s, cell_t = np.nonzero(tree.outage_size > 0)
-    if not len(cell_s):
+    # rows go to each outage unit's first scenario at the contingency hour
+    branches, t = tree.outage_branches, tree.contingency_hour
+    if not branches:
         return
-    dp = tree.outage_size[cell_s, cell_t][:, None]
-    on = np.where(alpha[cell_s, :, cell_t] != 0, vm.u[:, cell_t].T,
-                  -1)[:, None]                            # (C, 1, I)
-    surrogates = [instance.surrogates[tree.scenarios[s].outage_unit]
-                  for s in cell_s]
+    s = np.array(list(branches.values()))
+    dp = tree.outage_size[s, t][:, None]
+    on = np.where(alpha[s, :, t] != 0, vm.u[:, t], -1)[:, None]   # (U, 1, I)
+    surrogates = [instance.surrogates[uid] for uid in branches]
     # RoCoF: (rocof_lim/f_b) * (M + M_v) >= dP, and quasi steady state:
     # (ss_lim/f_b) * (D + R) >= dP
     w_rows = [m_w, r_w]
@@ -424,9 +420,9 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
                          for b in surrogates])]
         m.add_rows(on, np.stack(w_rows), np.hstack(lo), np.inf)
         return
-    # per cell, each segment's a . R + b . F + c . (M + M_v) + d <= t3 and
-    # t3 <= nadir_lim, with one epigraph column t3 per cell
-    t3 = m.add_vars(len(cell_s), -np.inf, np.inf)
+    # per outage unit, each segment's a . R + b . F + c . (M + M_v) + d <= t3
+    # and t3 <= nadir_lim, with one epigraph column t3 per unit
+    t3 = m.add_vars(len(s), -np.inf, np.inf)
     lo = np.hstack(lo)
     for k, fit in enumerate(surrogates):
         a, b, c, d = fit.coeffs.T[..., None]
@@ -507,7 +503,7 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
         return max(0.0, time_limit - (time.perf_counter() - t0))
 
     point, start_iterations = None, None
-    if any(s.outage_unit is not None for s in built.instance.tree.scenarios):
+    if built.instance.tree.outage_branches:
         point, start_iterations = _start_point(built, mip_gap, left, backend)
     if point is not None and point.mip_gap <= mip_gap:
         res = point

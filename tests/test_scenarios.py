@@ -85,6 +85,20 @@ class TestBuildTree:
         assert probs[(None, "a")] == pytest.approx(0.7 * pi_c0)
         assert probs[("g1", "b")] == pytest.approx(0.3 * pi_ck["g1"])
 
+    def test_outage_branches(self):
+        # credible_outages order (not unit order), each branch's first
+        # scenario, and nothing without outages
+        model = ContingencyModel(credible_outages=["g3", "g1"],
+                                 contingency_hour=1, lam=1e-3)
+        tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
+        assert list(tree.outage_branches.items()) == [("g3", 3), ("g1", 6)]
+        for uid, s in tree.outage_branches.items():
+            assert tree.scenarios[s].outage_unit == uid
+            assert tree.scenarios[s - 1].outage_unit != uid
+        model.credible_outages = []
+        tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
+        assert tree.outage_branches == {}
+
     def test_unknown_outage_unit(self):
         model = ContingencyModel(credible_outages=["nope"],
                                  contingency_hour=0, lam=1e-3)

@@ -667,17 +667,17 @@ def edge_instance(freq_mode):
     (small_instance,
      "4341d80a479ee5e67e67e9667949cccb7abab4f2dc85a40c17108f355d027c51"),
     (small_bounds_instance,
-     "e17687de938442fba4784969d2947d7c836fb6def6ae87e82bd7b9b0a84b1b12"),
+     "bb5e8e24034fc27e50e1711f553477545a98dc9dabb1d361bb16df1f5c9742dc"),
     (study_day_bounds_instance,
-     "317815f43bbbf03092c639d02156d4a2c76ea334bfb92c09fc0a8acb13871224"),
+     "2e0611ffbea304326ab8829e7314cfd0ac2e39e2ad0bf202c11f3a7e2df60cdd"),
     (small_pwl_instance,
-     "eb92e9abb72d499853c0b393adc085c9ecad5223857f89cd57d6b07244db7aad"),
+     "cd8a6a498f9a92faa855cff2db3d2f6848836065852d8c3e7b22cdcb2e6e9b41"),
     (functools.partial(edge_instance, "off"),
      "ed76e12c5626934f26f4939abb4512990362f12d4c08f44d6a6d2705a8c4c622"),
     (functools.partial(edge_instance, "bounds"),
-     "30e3fb5fd7ab553678b8b228aa023d0c2e1bb87047f18af4e8a690994a1a6054"),
+     "e0b242af28e5ed3f842baabfacddcf7b23736a69f694c80e515dc4b3d7f3c8f1"),
     (functools.partial(edge_instance, "pwl"),
-     "551839c8e85a4c2e1cc39288c178c023623ea8df4cf057c634f1bc8a477dc7b5"),
+     "50522acd38ac57aab21f6ad1854d388b6c13425da6a599f698bc22265df9766d"),
 ], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
         "edge_off", "edge_bounds", "edge_pwl"])
 def test_model_fingerprint_frozen(make, digest):
@@ -686,7 +686,7 @@ def test_model_fingerprint_frozen(make, digest):
 
 @pytest.mark.parametrize("make, counts", [
     (small_instance, (210, 188, 806, 8)),
-    (small_bounds_instance, (221, 177, 808, 9)),
+    (small_bounds_instance, (216, 177, 798, 9)),
 ], ids=["small_off", "small_bounds"])
 def test_model_counters(make, counts):
     """The size counters the benchmark's tracer reads off a built model:
@@ -1084,17 +1084,17 @@ class StopAtFirstSolve:
     (small_instance,
      "0e65933b3738e11879e7a59229682d106b9a006fe938dd4c32f4d71c5e7f2863"),
     (small_bounds_instance,
-     "98788735881301394751355bd703021a738922b3b213dc75518a63484b8aa39b"),
+     "9613ccab80a75dc6b1f08d77a676b6255e90e12a3858d68241d90a78cdb3f5ab"),
     (study_day_bounds_instance,
-     "6107ec8176d19def8f30280542d8466443544ceeb508f43302d8fc55525ac956"),
+     "90fdab64e3896728ef839e0cfbd28a11c94c542a01cf63db6222a1688659b0f5"),
     (small_pwl_instance,
-     "b34cde57a49b133afc5c1fec9cf9acf375292cf4a0db5cc0f1b9c26553f6c16f"),
+     "44bb7ff217907526331062b5c17c0e93f0656460ef3c86f6cc9c0138266e2c36"),
     (functools.partial(edge_instance, "off"),
      "2b561537054c071e398277b7707251718a1abc0e3827ed38927ee028af9f7f27"),
     (functools.partial(edge_instance, "bounds"),
-     "90caa87d0bd39371fc7810a0372ed0e4e7e192bf9d14d4eab3ab24fba5935ae7"),
+     "a21cd313b30ab15deb31fd60f4e0a559a8aa6ac3e2b21a1f779a4d5ec1e78966"),
     (functools.partial(edge_instance, "pwl"),
-     "2ff22fc402fb3d0618019894910375006d52a3707b8a5bcd40ba8a5d94f02875"),
+     "1461bca80c27b48a57274f1d2084c425799b515c334f640dc8916e3db933e3a6"),
 ], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
         "edge_off", "edge_bounds", "edge_pwl"])
 def test_reduced_day_fingerprint_frozen(make, digest, monkeypatch):
