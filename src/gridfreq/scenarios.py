@@ -73,16 +73,12 @@ class ScenarioTree:
 
     @property
     def outage_branches(self) -> dict[str, int]:
-        """Each outage unit's first scenario index, in scenario order.
-
-        The state after an outage depends only on the first-stage
-        commitment, so that scenario stands for the unit's whole branch.
-        """
-        first: dict[str, int] = {}
-        for s, scen in enumerate(self.scenarios):
-            if scen.outage_unit is not None:
-                first.setdefault(scen.outage_unit, s)
-        return first
+        """Each outage unit's first scenario index, in scenario order; the
+        post-outage state depends only on the first stage, so that
+        scenario stands for the unit's whole branch."""
+        units = [s.outage_unit for s in self.scenarios]
+        return {u: units.index(u) for u in dict.fromkeys(units)
+                if u is not None}
 
 
 def contingency_probabilities(model: ContingencyModel

@@ -256,11 +256,8 @@ def _after_outage(sol: UcSolution, instance: UcInstance,
                   outage: str) -> tuple[AggregateParams, float]:
     """Aggregate constants of the units left online when ``outage`` trips
     at the contingency hour, at the constant fleet damping the schedule
-    assumed, and the size of the disturbance.
-
-    They depend only on the first-stage commitment, so the first wind
-    scenario of the outage's branch stands for all of them.
-    """
+    assumed, and the size of the disturbance, read off the outage's
+    first scenario (``ScenarioTree.outage_branches``)."""
     tree = instance.tree
     s = tree.outage_branches.get(outage)
     if s is None:

@@ -389,47 +389,43 @@ def build_model(instance: UcInstance) -> BuiltModel:
 
 def _add_frequency_rows(m: SolverModel, vm: VarMap,
                         instance: UcInstance) -> None:
-    """RoCoF, quasi-steady-state and nadir-surrogate rows.
+    """Frequency-security rows, written once per credible outage unit.
 
-    The aggregate turbine fraction, droop and inertia are affine in the
-    commitment binaries (availability is a parameter), so the rows are
-    written directly on u.
+    After an outage, turbine fraction F, droop R and synchronous inertia M
+    are affine in u at the contingency hour and the same on every wind
+    path, so each unit's rows read its first scenario's availability.
+    RoCoF, (rocof_lim/f_b) (M + M_v) >= dP, and quasi steady state,
+    (ss_lim/f_b) (D + R) >= dP, bound M and R from below. Bounds mode
+    writes M >= max(RoCoF bound, m_lim), R >= max(QSS bound, r_lim) and
+    F >= f_lim: the nadir box, like its cloud, bounds synchronous M. Pwl
+    mode writes the RoCoF and QSS rows, one column t3 with a R + b F +
+    c M + d <= t3 per segment (fitted over synchronous M too), and
+    t3 <= nadir_lim.
     """
-    units, tree, limits = instance.units, instance.tree, instance.limits
-    fw = frequency_weights(units, instance.fleet)
-    r_w, f_w, m_w, d_const, m_v = fw.r_w, fw.f_w, fw.m_w, fw.d, fw.m_v
-    alpha = tree.availability
-    f_b = limits.f_base
-
-    # rows go to each outage unit's first scenario at the contingency hour
+    tree, limits, f_b = instance.tree, instance.limits, instance.limits.f_base
+    fw = frequency_weights(instance.units, instance.fleet)
     branches, t = tree.outage_branches, tree.contingency_hour
     if not branches:
         return
     s = np.array(list(branches.values()))
     dp = tree.outage_size[s, t][:, None]
-    on = np.where(alpha[s, :, t] != 0, vm.u[:, t], -1)[:, None]   # (U, 1, I)
+    on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t],
+                  -1)[:, None]                            # (U, 1, I)
     surrogates = [instance.surrogates[uid] for uid in branches]
-    # RoCoF: (rocof_lim/f_b) * (M + M_v) >= dP, and quasi steady state:
-    # (ss_lim/f_b) * (D + R) >= dP
-    w_rows = [m_w, r_w]
-    lo = [dp * f_b / limits.rocof_lim - m_v,
-          dp * f_b / limits.ss_lim - d_const]
+    lo = np.hstack([dp * f_b / limits.rocof_lim - fw.m_v,
+                    dp * f_b / limits.ss_lim - fw.d])     # (U, 2) on M, R
     if instance.freq_mode == "bounds":
-        w_rows += [f_w, r_w, m_w]
-        lo += [np.array([[b.f_lim, b.r_lim, b.m_lim - m_v]
-                         for b in surrogates])]
-        m.add_rows(on, np.stack(w_rows), np.hstack(lo), np.inf)
+        box = np.array([[b.m_lim, b.r_lim, b.f_lim] for b in surrogates])
+        box[:, :2] = np.maximum(box[:, :2], lo)
+        m.add_rows(on, np.stack([fw.m_w, fw.r_w, fw.f_w]), box, np.inf)
         return
-    # per outage unit, each segment's a . R + b . F + c . (M + M_v) + d <= t3
-    # and t3 <= nadir_lim, with one epigraph column t3 per unit
     t3 = m.add_vars(len(s), -np.inf, np.inf)
-    lo = np.hstack(lo)
     for k, fit in enumerate(surrogates):
         a, b, c, d = fit.coeffs.T[..., None]
-        m.add_rows(on[k], np.stack(w_rows), lo[k], np.inf)
+        m.add_rows(on[k], np.stack([fw.m_w, fw.r_w]), lo[k], np.inf)
         m.add_rows(np.hstack([t3[k], on[k, 0], on[k, 0], on[k, 0]]),
-                   np.hstack([-np.ones_like(a), a * r_w, b * f_w, c * m_w]),
-                   -np.inf, -(d + c * m_v)[:, 0])
+                   np.hstack([-np.ones_like(a), a * fw.r_w, b * fw.f_w,
+                              c * fw.m_w]), -np.inf, -d[:, 0])
         m.add_rows(t3[k, None], 1.0, -np.inf, limits.nadir_lim)
 
 

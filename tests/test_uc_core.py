@@ -16,8 +16,8 @@ import pytest
 import gridfreq
 from gridfreq import solver, system, uc_core
 from gridfreq.casedata import study_template
-from gridfreq.freq_dynamics import fleet_damping
-from gridfreq.nadir_linearization import (NadirBounds, PwlFit,
+from gridfreq.freq_dynamics import fleet_damping, frequency_weights
+from gridfreq.nadir_linearization import (NadirBounds, PwlFit, admitted,
                                           enumerate_commitments,
                                           extract_bounds, fit_pwl,
                                           make_nadir_fn, nadir_grid)
@@ -31,7 +31,7 @@ from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               dump_solution, load_instance, residual_ok,
                               residual_scale, residual_tol, solve)
 
-from conftest import make_unit
+from conftest import make_unit, synthetic_fleet
 
 needs_highs = pytest.mark.skipif(
     solver._highs is None, reason="scipy without its bundled HiGHS binding")
@@ -258,18 +258,91 @@ def test_freq_mode_monotone_cost():
     b = bounds["g3"]
     assert sol_b.f_sys[s_c, t_c] >= b.f_lim - 1e-7
     assert sol_b.r_sys[s_c, t_c] >= b.r_lim - 1e-7
-    assert sol_b.m_sys[s_c, t_c] + inst_m_v(units, fleet) >= b.m_lim - 1e-7
+    assert sol_b.m_sys[s_c, t_c] >= b.m_lim - 1e-7
 
     # brute force agrees in constrained mode too
     ref = brute_force_uc(mk("bounds", surrogates=bounds))
     assert sol_b.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
-def inst_m_v(units, fleet):
-    s_base = sum(u.p_max for u in units) + fleet.vsm_capacity \
-        + fleet.droop_capacity
-    return 2.0 * fleet.vsm_inertia_h * fleet.vsm_gain \
-        * fleet.vsm_capacity / s_base
+@pytest.mark.parametrize("rocof_lim", [1.0, 0.5])
+def test_bounds_rows_admit_only_the_box(rocof_lim):
+    """The commitments the bounds rows admit are those inside the nadir
+    box that also meet RoCoF and the quasi steady state, per cloud point.
+    The box bounds synchronous inertia; at a loose RoCoF limit m_lim is
+    the binding bound on M, at a tight one the RoCoF bound is."""
+    units = synthetic_fleet(12, seed=1)
+    fleet = ConverterFleet(vsm_capacity=120.0, droop_capacity=60.0)
+    limits = FrequencyLimits(rocof_lim=rocof_lim)
+    cloud = enumerate_commitments(units, "u1", fleet, limits, 7.0)
+    bounds = extract_bounds(cloud, limits)
+    cm = ContingencyModel(credible_outages=["u1"], contingency_hour=0,
+                          lam=1e-3)
+    tree = build_tree([WindScenario("s1", 1.0, {})], cm, units,
+                      system.s_base(units, fleet), 1)
+    net = Network(nodes=["n1"], lines=[], demand={"n1": [500.0]},
+                  value_of_lost_load=5000.0, farms=[])
+    inst = UcInstance(network=net, units=units, fleet=fleet, tree=tree,
+                      limits=limits, horizon=1, freq_mode="bounds",
+                      surrogates={"u1": bounds})
+    _, vals, passes = _commitment_patterns(build_model(inst))
+    # the cloud point of each pattern: bit j is survivor j (u2..u12)
+    point = vals[:, 1:12].astype(int) @ (1 << np.arange(11))
+    f_b, dp = limits.f_base, cloud.delta_p
+    meets = (admitted(cloud, bounds)
+             & ((cloud.m + cloud.m_v) * limits.rocof_lim / f_b >= dp)
+             & ((cloud.d + cloud.r_g) * limits.ss_lim / f_b >= dp))[point]
+    assert passes.any()
+    assert np.array_equal(passes, meets)
+    assert cloud.safe[point[passes]].all()
+
+
+def test_bounds_screen_meets_the_conditions_per_scenario():
+    """On all 4,096 u patterns of edge_bounds, which has two outages with
+    different boxes and two wind paths, the bounds-mode screen is the
+    off-mode screen and, in every outage scenario at the contingency hour,
+    RoCoF, the quasi steady state and the box, each computed here per
+    scenario from the surrogates and the limits."""
+    inst = edge_instance("bounds")
+    tree, lim = inst.tree, inst.limits
+    fw = frequency_weights(inst.units, inst.fleet)
+    _, vals, passes = _commitment_patterns(build_model(inst))
+    off = _commitment_patterns(build_model(edge_instance("off")))[2]
+    t = tree.contingency_hour
+    u_t = vals[:, :12].reshape(-1, 3, 4)[:, :, t]
+    meets = np.ones(len(vals), dtype=bool)
+    for s, scen in enumerate(tree.scenarios):
+        if scen.outage_unit is None:
+            continue
+        online = u_t * tree.availability[s, :, t]
+        m_sys, r_sys, f_sys = online @ fw.m_w, online @ fw.r_w, online @ fw.f_w
+        dp, box = tree.outage_size[s, t], inst.surrogates[scen.outage_unit]
+        meets &= ((lim.rocof_lim / lim.f_base * (m_sys + fw.m_v) >= dp)
+                  & (lim.ss_lim / lim.f_base * (fw.d + r_sys) >= dp)
+                  & (m_sys >= box.m_lim) & (r_sys >= box.r_lim)
+                  & (f_sys >= box.f_lim))
+    assert len(vals) == 4096 and 0 < passes.sum() < off.sum()
+    assert np.array_equal(passes, off & meets)
+
+
+@pytest.mark.parametrize("n_wind", [1, 2, 3])
+def test_frequency_rows_do_not_grow_with_wind_paths(n_wind):
+    """The frequency rows read only u at the contingency hour, so each
+    outage unit gets one row set whatever the number of wind paths."""
+    wind = [WindScenario(f"s{k}", 1.0 / n_wind,
+                         {"w1": [40.0 - 10 * k, 60.0, 50.0, 30.0 + 5 * k]})
+            for k in range(n_wind)]
+    off = build_model(small_instance(wind=wind)).model
+    bounds = build_model(small_instance(
+        wind=wind, freq_mode="bounds",
+        surrogates={"g2": NadirBounds(0.1, 0.5, 20.0, 1.0)})).model
+    pwl = build_model(small_instance(
+        wind=wind, freq_mode="pwl",
+        surrogates=small_pwl_instance().surrogates)).model
+    n_outages = 1
+    assert bounds.n_rows - off.n_rows == 3 * n_outages
+    assert bounds.n_vars == off.n_vars
+    assert pwl.n_vars - off.n_vars == n_outages
 
 
 def test_aggregates_match_definitions():
@@ -667,27 +740,32 @@ def edge_instance(freq_mode):
     (small_instance,
      "4341d80a479ee5e67e67e9667949cccb7abab4f2dc85a40c17108f355d027c51"),
     (small_bounds_instance,
-     "bb5e8e24034fc27e50e1711f553477545a98dc9dabb1d361bb16df1f5c9742dc"),
+     "4e7b62258be783c5d46fcdbb0a497c0c71f8ac24dabafe5bfe1aefa7ff78e6a5"),
     (study_day_bounds_instance,
-     "2e0611ffbea304326ab8829e7314cfd0ac2e39e2ad0bf202c11f3a7e2df60cdd"),
+     "7d9514eb44be1936e2a216b45ac32520c93aea6f08eede3f89bdbc331aa5f126"),
     (small_pwl_instance,
-     "cd8a6a498f9a92faa855cff2db3d2f6848836065852d8c3e7b22cdcb2e6e9b41"),
+     "16c38ea72d2783fab9797f1e5c69f0966cd72b843904f967cff7a69ae4f96929"),
     (functools.partial(edge_instance, "off"),
      "ed76e12c5626934f26f4939abb4512990362f12d4c08f44d6a6d2705a8c4c622"),
     (functools.partial(edge_instance, "bounds"),
-     "e0b242af28e5ed3f842baabfacddcf7b23736a69f694c80e515dc4b3d7f3c8f1"),
+     "67e654e57c6c4f3bb3b7f9c415b78166113b27726ce6a4808a316a748b725e62"),
     (functools.partial(edge_instance, "pwl"),
-     "50522acd38ac57aab21f6ad1854d388b6c13425da6a599f698bc22265df9766d"),
+     "3dc97040a33c71f89e5c2396e12a59015eec495fd8efcb0c62ae363b54630972"),
 ], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
         "edge_off", "edge_bounds", "edge_pwl"])
 def test_model_fingerprint_frozen(make, digest):
     assert highs_input_digest(build_model(make()).model) == digest
 
 
+# small_bounds is small_off's model on three units over three hours with
+# one outage (g3): 3 frequency rows, each reading g1 and g2, so 211 + 3
+# rows and 788 + 6 entries. study_day_bounds has 4 outage units, so 12
+# frequency rows whatever its 10 wind paths.
 @pytest.mark.parametrize("make, counts", [
     (small_instance, (210, 188, 806, 8)),
-    (small_bounds_instance, (216, 177, 798, 9)),
-], ids=["small_off", "small_bounds"])
+    (small_bounds_instance, (214, 177, 794, 9)),
+    (study_day_bounds_instance, (55622, 39408, 258254, 192)),
+], ids=["small_off", "small_bounds", "study_day_bounds"])
 def test_model_counters(make, counts):
     """The size counters the benchmark's tracer reads off a built model:
     rows, columns, stored entries and integer columns."""
@@ -1084,17 +1162,17 @@ class StopAtFirstSolve:
     (small_instance,
      "0e65933b3738e11879e7a59229682d106b9a006fe938dd4c32f4d71c5e7f2863"),
     (small_bounds_instance,
-     "9613ccab80a75dc6b1f08d77a676b6255e90e12a3858d68241d90a78cdb3f5ab"),
+     "693c14f0bafbb7eb4c929cb6b98f2b256d841d469b330b466471f148420ef88a"),
     (study_day_bounds_instance,
-     "90fdab64e3896728ef839e0cfbd28a11c94c542a01cf63db6222a1688659b0f5"),
+     "04df210af00595becd91ad2952363404ac38ec95d63992a61885e50cb4a02913"),
     (small_pwl_instance,
-     "44bb7ff217907526331062b5c17c0e93f0656460ef3c86f6cc9c0138266e2c36"),
+     "36e9750bfec54d2423bf17fbf4f4fc691fca6e20e490f529f029370c472f7665"),
     (functools.partial(edge_instance, "off"),
      "2b561537054c071e398277b7707251718a1abc0e3827ed38927ee028af9f7f27"),
     (functools.partial(edge_instance, "bounds"),
-     "a21cd313b30ab15deb31fd60f4e0a559a8aa6ac3e2b21a1f779a4d5ec1e78966"),
+     "069900c9e931275521495fc4ddd1216715dd7786be2d1df89e313402cb188463"),
     (functools.partial(edge_instance, "pwl"),
-     "1461bca80c27b48a57274f1d2084c425799b515c334f640dc8916e3db933e3a6"),
+     "1be32cbf57595049d28380c5afdab26e495f5ddfa837020f3f74687ff694ab58"),
 ], ids=["small_off", "small_bounds", "study_day_bounds", "small_pwl",
         "edge_off", "edge_bounds", "edge_pwl"])
 def test_reduced_day_fingerprint_frozen(make, digest, monkeypatch):
