@@ -398,19 +398,20 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     (ss_lim/f_b) (D + R) >= dP, bound M and R from below. Bounds mode
     writes M >= max(RoCoF bound, m_lim), R >= max(QSS bound, r_lim) and
     F >= f_lim: the nadir box, like its cloud, bounds synchronous M. Pwl
-    mode writes the RoCoF and QSS rows, one column t3 with a R + b F +
-    c M + d <= t3 per segment (fitted over synchronous M too), and
-    t3 <= nadir_lim.
+    mode writes those two rows, a column t3 with a R + b F + c M + d <= t3
+    per segment (fitted over synchronous M too), and t3 <= nadir_lim.
     """
     tree, limits, f_b = instance.tree, instance.limits, instance.limits.f_base
     fw = frequency_weights(instance.units, instance.fleet)
-    branches, t = tree.outage_branches, tree.contingency_hour
+    t = tree.contingency_hour
+    # a unit of no size trips nothing, so it gets no rows
+    branches = {uid: s for uid, s in tree.outage_branches.items()
+                if tree.outage_size[s, t] > 0}
     if not branches:
         return
     s = np.array(list(branches.values()))
     dp = tree.outage_size[s, t][:, None]
-    on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t],
-                  -1)[:, None]                            # (U, 1, I)
+    on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t], -1)[:, None]
     surrogates = [instance.surrogates[uid] for uid in branches]
     lo = np.hstack([dp * f_b / limits.rocof_lim - fw.m_v,
                     dp * f_b / limits.ss_lim - fw.d])     # (U, 2) on M, R

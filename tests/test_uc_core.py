@@ -339,10 +339,20 @@ def test_frequency_rows_do_not_grow_with_wind_paths(n_wind):
     pwl = build_model(small_instance(
         wind=wind, freq_mode="pwl",
         surrogates=small_pwl_instance().surrogates)).model
-    n_outages = 1
-    assert bounds.n_rows - off.n_rows == 3 * n_outages
+    # one outage unit, g2
+    assert bounds.n_rows - off.n_rows == 3
     assert bounds.n_vars == off.n_vars
-    assert pwl.n_vars - off.n_vars == n_outages
+    assert pwl.n_vars - off.n_vars == 1
+
+
+def test_zero_size_outage_gets_no_frequency_rows():
+    # losing a unit of no capacity is no disturbance
+    units = two_units()
+    units[1].p_max = units[1].p_min = 0.0
+    box = {"g2": NadirBounds(0.0, 0.5, 20.0, 1.0)}
+    assert (build_model(small_instance(units=units)).model.n_rows
+            == build_model(small_instance(units=units, freq_mode="bounds",
+                                          surrogates=box)).model.n_rows)
 
 
 def test_aggregates_match_definitions():
@@ -757,10 +767,10 @@ def test_model_fingerprint_frozen(make, digest):
     assert highs_input_digest(build_model(make()).model) == digest
 
 
-# small_bounds is small_off's model on three units over three hours with
-# one outage (g3): 3 frequency rows, each reading g1 and g2, so 211 + 3
-# rows and 788 + 6 entries. study_day_bounds has 4 outage units, so 12
-# frequency rows whatever its 10 wind paths.
+# small_bounds has 211 rows and 788 entries without frequency rows, plus
+# 3 rows for its one outage unit (g3), each reading g1 and g2. Of
+# study_day_bounds' rows 12 are frequency rows, 3 for each of its 4
+# outage units, whatever its 10 wind paths.
 @pytest.mark.parametrize("make, counts", [
     (small_instance, (210, 188, 806, 8)),
     (small_bounds_instance, (214, 177, 794, 9)),
