@@ -413,17 +413,18 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     dp = tree.outage_size[s, t][:, None]
     on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t], -1)[:, None]
     surrogates = [instance.surrogates[uid] for uid in branches]
+    weights = np.stack([fw.m_w, fw.r_w, fw.f_w])          # M, R, F
     lo = np.hstack([dp * f_b / limits.rocof_lim - fw.m_v,
                     dp * f_b / limits.ss_lim - fw.d])     # (U, 2) on M, R
     if instance.freq_mode == "bounds":
         box = np.array([[b.m_lim, b.r_lim, b.f_lim] for b in surrogates])
         box[:, :2] = np.maximum(box[:, :2], lo)
-        m.add_rows(on, np.stack([fw.m_w, fw.r_w, fw.f_w]), box, np.inf)
+        m.add_rows(on, weights, box, np.inf)
         return
     t3 = m.add_vars(len(s), -np.inf, np.inf)
     for k, fit in enumerate(surrogates):
         a, b, c, d = fit.coeffs.T[..., None]
-        m.add_rows(on[k], np.stack([fw.m_w, fw.r_w]), lo[k], np.inf)
+        m.add_rows(on[k], weights[:2], lo[k], np.inf)
         m.add_rows(np.hstack([t3[k], on[k, 0], on[k, 0], on[k, 0]]),
                    np.hstack([-np.ones_like(a), a * fw.r_w, b * fw.f_w,
                               c * fw.m_w]), -np.inf, -d[:, 0])
