@@ -3,7 +3,9 @@
 Models are accumulated as column bound and cost arrays plus blocks of
 rows added from arrays, and solved with the HiGHS solver shipped with
 scipy: directly through its bundled binding where that private module
-is present, and through ``scipy.optimize.milp`` otherwise.
+is present, and through ``scipy.optimize.milp`` otherwise. Both paths
+run HiGHS with its defaults except for ``HIGHS_OPTIONS``: quiet, and
+without the root reduced-cost heuristic.
 
 ``HighsBackend.solve_fixed`` solves an LP under a series of fixings of
 the same columns on one HiGHS instance, each from the previous basis.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +35,12 @@ INF = float("inf")
 # HiGHS's default primal feasibility tolerance: a solution may miss a row
 # or column bound by this much
 FEAS_TOL = 1e-7
+# What every HiGHS run sets beyond the per-solve gap and time limit, on
+# both paths. The root reduced-cost heuristic solves sub-MIPs of its own
+# at the root: on the shipped five-day study it took 30% of the proof's
+# simplex iterations, and every day still closes by the proof without it.
+HIGHS_OPTIONS = {"log_to_console": False,
+                 "mip_heuristic_run_root_reduced_cost": False}
 
 
 @dataclass
@@ -198,7 +207,7 @@ class HighsBackend:
     def solve(self, model: SolverModel, mip_gap: float = 1e-4,
               time_limit: float = 600.0,
               start: np.ndarray | None = None) -> SolveResult:
-        """Solve ``model`` with HiGHS's default options.
+        """Solve ``model`` with HiGHS's defaults and ``HIGHS_OPTIONS``.
 
         ``start`` is a full column vector HiGHS tries as its first
         incumbent. ``milp`` takes none and ignores it, the one difference
@@ -235,10 +244,13 @@ def solve_each(backend, model: SolverModel, cols, vals, time_limit: float):
 
 
 def _load(model: SolverModel, asm: Assembly):
-    """A quiet ``_Highs`` holding ``model``; None when HiGHS rejects it."""
+    """A ``_Highs`` with ``HIGHS_OPTIONS`` holding ``model``; None when
+    HiGHS rejects the model. An option HiGHS rejects raises ValueError."""
     a = asm.csc
     h = _highs._Highs()
-    h.setOptionValue("log_to_console", False)
+    for name, value in HIGHS_OPTIONS.items():
+        if h.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {name}={value!r}")
     loaded = h.passModel(
         model.n_vars, model.n_rows, a.nnz, int(_highs.MatrixFormat.kColwise),
         int(_highs.ObjSense.kMinimize), 0.0, model.c, model.lb, model.ub,
@@ -369,10 +381,15 @@ def _solve_milp(model: SolverModel, mip_gap: float,
     if model.n_rows:
         constraints.append(LinearConstraint(asm.csr, asm.row_lo,
                                             asm.row_hi))
-    res = milp(model.c, constraints=constraints,
-               integrality=asm.integrality, bounds=Bounds(model.lb, model.ub),
-               options={"mip_rel_gap": mip_gap, "time_limit": time_limit,
-                        "disp": False})
+    with warnings.catch_warnings():
+        # milp warns that it hands HIGHS_OPTIONS to HiGHS verbatim
+        warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                RuntimeWarning)
+        res = milp(model.c, constraints=constraints,
+                   integrality=asm.integrality,
+                   bounds=Bounds(model.lb, model.ub),
+                   options={"mip_rel_gap": mip_gap, "time_limit": time_limit,
+                            **HIGHS_OPTIONS})
     gap = res.get("mip_gap")
     # milp fills these for a MIP with a point, and sets them to None
     # otherwise

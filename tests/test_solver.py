@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,46 @@ def test_separated_counts_zero_weights_on_infinite_bounds():
     # that would separate, so nothing is
     y = np.array([1.0, 0.0, 0.0, 1.0])
     assert not solver._separated(m, asm, cols, FIXINGS, y).any()
+
+
+def small_mip():
+    """min -x - y over integers x, y in [0, 3] with x + 2 y <= 4: -3."""
+    m = SolverModel()
+    x, y = m.add_vars(2)
+    m.ub[:] = 3.0
+    m.c[:] = -1.0
+    m.is_int = [True, True]
+    m.add_rows([[x, y]], [[1.0, 2.0]], -INF, 4.0)
+    return m
+
+
+@pytest.mark.skipif(solver._highs is None,
+                    reason="scipy without its bundled HiGHS binding")
+def test_both_paths_hand_highs_the_options(monkeypatch):
+    m = small_mip()
+    assert not solver.HIGHS_OPTIONS["mip_heuristic_run_root_reduced_cost"]
+    h = solver._load(m, m.assembly())
+    for name, value in solver.HIGHS_OPTIONS.items():
+        assert h.getOptionValue(name) == (solver._highs.HighsStatus.kOk,
+                                          value)
+
+    passed = []
+    milp = solver.milp
+    monkeypatch.setattr(solver, "milp", lambda *a, options, **kw: (
+        passed.append(options) or milp(*a, options=options, **kw)))
+    monkeypatch.setattr(solver, "_highs", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = HighsBackend().solve(m, mip_gap=1e-9, time_limit=60.0)
+    assert res.status == "optimal" and res.objective == pytest.approx(-3.0)
+    assert passed and passed[0].items() >= solver.HIGHS_OPTIONS.items()
+
+
+@pytest.mark.skipif(solver._highs is None,
+                    reason="scipy without its bundled HiGHS binding")
+def test_an_option_highs_rejects_is_an_error(monkeypatch):
+    m = small_mip()
+    monkeypatch.setitem(solver.HIGHS_OPTIONS,
+                        "mip_heuristic_run_root_reduced_cots", False)
+    with pytest.raises(ValueError, match="reduced_cots"):
+        HighsBackend().solve(m)
