@@ -241,11 +241,12 @@ def _rk4_transition(agg: AggregateParams, delta_p: float, dt: float
 
 
 def simulate_step_response(agg: AggregateParams, delta_p: float,
-                           horizon_s: float = 60.0, dt: float = 1e-3,
-                           f_base: float = 50.0) -> tuple[np.ndarray, np.ndarray]:
+                           f_base: float, horizon_s: float = 60.0,
+                           dt: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the second-order model under a -delta_p step.
 
-    Returns ``(t_s, delta_f_hz)``.  The model is the state-space
+    Returns ``(t_s, delta_f_hz)`` at nominal frequency ``f_base``
+    (``FrequencyLimits.f_base``).  The model is the state-space
     realization of the transfer function with a turbine zero, so the
     initial slope equals the analytic RoCoF and the tail converges to the
     quasi-steady-state deviation.  For the constant-input LTI system the

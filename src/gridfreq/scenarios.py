@@ -67,9 +67,9 @@ class ScenarioTree:
     contingency_hour: int
     # availability[s][i, t] in {0, 1}
     availability: np.ndarray = field(repr=False)
-    # outage_size[s, t] in p.u. on s_base, nonzero only at the
-    # contingency cell of contingency scenarios
-    outage_size: np.ndarray = field(repr=False)
+    # each credible outage unit's disturbance in p.u. on s_base, in
+    # credible_outages order
+    outage_size: dict[str, float]
 
     @property
     def outage_branches(self) -> dict[str, int]:
@@ -119,7 +119,6 @@ def build_tree(wind: list[WindScenario], model: ContingencyModel,
     scenarios = []
     n_s = len(branches) * len(wind)
     availability = np.ones((n_s, len(units), horizon), dtype=np.int8)
-    outage_size = np.zeros((n_s, horizon))
     s = 0
     for outage_unit, pi_c in branches:
         for w in wind:
@@ -134,13 +133,13 @@ def build_tree(wind: list[WindScenario], model: ContingencyModel,
             if outage_unit is not None:
                 i = unit_ids.index(outage_unit)
                 availability[s, i, model.contingency_hour:] = 0
-                outage_size[s, model.contingency_hour] = \
-                    p_max[outage_unit] / s_base
             s += 1
     return ScenarioTree(scenarios=scenarios, horizon=horizon,
                         unit_ids=unit_ids,
                         contingency_hour=model.contingency_hour,
-                        availability=availability, outage_size=outage_size)
+                        availability=availability,
+                        outage_size={uid: p_max[uid] / s_base
+                                     for uid in model.credible_outages})
 
 
 def ingest_wind(path: str | Path) -> list[WindScenario]:

@@ -222,15 +222,19 @@ class HighsBackend:
         """One ``SolveResult`` per row of ``vals``, in order: ``model``
         with ``cols`` fixed at that row, each solve within ``time_limit``.
 
-        On the direct path a model with no integer columns is passed to
-        HiGHS once; each row changes the fixed columns' bounds and
-        re-solves from the basis the previous run left. A row that an
-        earlier infeasible run's dual ray proves infeasible is yielded as
-        ``infeasible`` with 0 simplex iterations and no run; every other
-        row gets the status a cold solve gives it. Otherwise each row is
-        a ``solve`` of its own ``fixed`` copy (``solve_each``).
+        ``model`` must have no integer columns; one that has raises
+        ValueError. On the direct path it is passed to HiGHS once; each
+        row changes the fixed columns' bounds and re-solves from the basis
+        the previous run left. A row that an earlier infeasible run's dual
+        ray proves infeasible is yielded as ``infeasible`` with 0 simplex
+        iterations and no run; every other row gets the status a cold
+        solve gives it. Through ``milp`` each row is a ``solve`` of its
+        own ``fixed`` copy (``solve_each``).
         """
-        if _highs is None or model.assembly().integrality.any():
+        if model.assembly().integrality.any():
+            raise ValueError("solve_fixed takes a model without integer "
+                             "columns")
+        if _highs is None:
             return solve_each(self, model, cols, vals, time_limit)
         return _solve_series(model, cols, vals, time_limit)
 
@@ -280,7 +284,7 @@ def _solve_direct(model: SolverModel, mip_gap: float, time_limit: float,
 
 
 def _solve_series(model: SolverModel, cols, vals, time_limit: float):
-    """``solve_fixed``'s direct path for a model with no integer columns.
+    """``solve_fixed``'s direct path.
 
     A run that comes back infeasible leaves a Farkas certificate
     (``_separated``); every later row it proves infeasible is yielded as

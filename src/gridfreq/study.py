@@ -171,25 +171,20 @@ def _carry_state(units, days: list[DayResult]) -> InitialState:
 def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
     """Bounds mode is conservative only over enumerated commitments.
 
-    Verify every realized post-contingency aggregate matches its
-    enumerated cloud point, so conservativeness carries over exactly.
-    Only the realized points are summed, with the enumeration's own
+    Verify each outage unit's realized post-contingency aggregates match
+    its enumerated cloud point, so conservativeness carries over exactly.
+    Only the realized point is summed, with the enumeration's own
     arithmetic, so no cloud is built.
     """
-    tree = instance.tree
-    t = tree.contingency_hour
-    for s, scen in enumerate(tree.scenarios):
-        if scen.outage_unit is None:
-            continue
-        online = {u.id for i, u in enumerate(instance.units)
-                  if sol.u[i, t] and tree.availability[s, i, t]}
-        m, r_g, f_g = cloud_point(instance.units, scen.outage_unit,
-                                  instance.fleet, online)
-        if not (abs(m - sol.m_sys[s, t]) < 1e-9
-                and abs(r_g - sol.r_sys[s, t]) < 1e-9
-                and abs(f_g - sol.f_sys[s, t]) < 1e-9):
+    t = instance.tree.contingency_hour
+    online = {u.id for u, on in zip(instance.units, sol.u[:, t]) if on}
+    for uid in instance.tree.outage_branches:
+        agg, _ = _after_outage(sol, instance, uid)
+        m, r_g, f_g = cloud_point(instance.units, uid, instance.fleet, online)
+        if not (abs(m - agg.m) < 1e-9 and abs(r_g - agg.r_g) < 1e-9
+                and abs(f_g - agg.f_g) < 1e-9):
             raise StudyError(
-                f"realized aggregate for outage {scen.outage_unit} not in "
+                f"realized aggregate for outage {uid} not in "
                 f"the enumerated commitment set")
 
 
@@ -256,8 +251,9 @@ def _after_outage(sol: UcSolution, instance: UcInstance,
                   outage: str) -> tuple[AggregateParams, float]:
     """Aggregate constants of the units left online when ``outage`` trips
     at the contingency hour, at the constant fleet damping the schedule
-    assumed, and the size of the disturbance, read off the outage's
-    first scenario (``ScenarioTree.outage_branches``)."""
+    assumed, read off the outage's first scenario
+    (``ScenarioTree.outage_branches``), and the size of the disturbance
+    (``ScenarioTree.outage_size``)."""
     tree = instance.tree
     s = tree.outage_branches.get(outage)
     if s is None:
@@ -268,7 +264,7 @@ def _after_outage(sol: UcSolution, instance: UcInstance,
     online = (sol.u[:, t] * tree.availability[s, :, t]) > 0
     agg = aggregate_params(instance.units, online, instance.fleet,
                            instance.t_turbine, d_override=w.d)
-    return agg, tree.outage_size[s, t]
+    return agg, tree.outage_size[outage]
 
 
 def posthoc_gaps(sol: UcSolution, instance: UcInstance,
@@ -291,19 +287,6 @@ def frequency_trace(sol: UcSolution, instance: UcInstance, outage: str,
 
 # ---------------------------------------------------------------------------
 # reporting
-
-def _inertia_series(result: StudyResult) -> np.ndarray:
-    """Synchronous inertia per hour in the no-contingency branch."""
-    system = result.template.system
-    m_w = frequency_weights(system.units, system.fleet).m_w
-    return m_w @ result.solution_u()
-
-
-def _largest_outage(template: StudyTemplate) -> str:
-    caps = {u.id: u.p_max for u in template.system.units}
-    return max(template.contingency.credible_outages,
-               key=lambda uid: caps[uid])
-
 
 def report(result_off: StudyResult, result_on: StudyResult,
            out_dir: str | Path) -> None:
@@ -330,16 +313,17 @@ def report(result_off: StudyResult, result_on: StudyResult,
             wr.writerow([t + 1, int(u_off[:, t].sum()),
                          int(u_on[:, t].sum())])
 
-    m_off, m_on = _inertia_series(result_off), _inertia_series(result_on)
     system = result_on.template.system
-    m_v = frequency_weights(system.units, system.fleet).m_v
+    w = frequency_weights(system.units, system.fleet)
+    # synchronous inertia per hour in the no-contingency branch
+    m_off, m_on = w.m_w @ u_off, w.m_w @ u_on
     with open(out / "inertia.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["hour", "m_sync_off_pu_s", "m_sync_on_pu_s",
                      "m_virtual_pu_s"])
         for t in range(n_hours):
             wr.writerow([t + 1, f"{m_off[t]:.6f}", f"{m_on[t]:.6f}",
-                         f"{m_v:.6f}"])
+                         f"{w.m_v:.6f}"])
 
     with open(out / "gaps.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -375,7 +359,7 @@ def report(result_off: StudyResult, result_on: StudyResult,
             pct = 100.0 * (b - a) / a if abs(a) > 1e-12 else float("nan")
             wr.writerow(["all", part, f"{a:.2f}", f"{b:.2f}", f"{pct:.2f}"])
 
-    uid = _largest_outage(result_on.template)
+    uid = max(tree.outage_size, key=tree.outage_size.get)
     ts, df_off = frequency_trace(d_off.solution, d_off.instance, uid)
     _, df_on = frequency_trace(d_on.solution, d_on.instance, uid)
     with open(out / f"trace_h{cfg.contingency_hour}.csv", "w",

@@ -8,8 +8,8 @@ max-affine epigraph rows.
 
 Aggregate frequency quantities are linear in the commitment binaries, so
 the model substitutes them directly instead of carrying the intermediate
-per-unit gain variables; the solution extractor reconstructs those from
-their defining identities.
+per-unit gain variables; ``study._after_outage`` computes a solution's
+post-outage aggregates from the same weights.
 """
 
 from __future__ import annotations
@@ -210,9 +210,6 @@ class UcSolution:
     r_dn: np.ndarray | None = None
     spill: np.ndarray | None = None
     shed: np.ndarray | None = None
-    f_sys: np.ndarray | None = None   # (S, T) aggregate turbine fraction
-    r_sys: np.ndarray | None = None   # (S, T) aggregate droop
-    m_sys: np.ndarray | None = None   # (S, T) synchronous inertia
     cost_breakdown: dict | None = None
     max_residual: float | None = None
     # HiGHS's counts for the full run, or the proof's bound and 0 nodes
@@ -406,11 +403,11 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     t = tree.contingency_hour
     # a unit of no size trips nothing, so it gets no rows
     branches = {uid: s for uid, s in tree.outage_branches.items()
-                if tree.outage_size[s, t] > 0}
+                if tree.outage_size[uid] > 0}
     if not branches:
         return
     s = np.array(list(branches.values()))
-    dp = tree.outage_size[s, t][:, None]
+    dp = np.array([tree.outage_size[uid] for uid in branches])[:, None]
     on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t], -1)[:, None]
     surrogates = [instance.surrogates[uid] for uid in branches]
     weights = np.stack([fw.m_w, fw.r_w, fw.f_w])          # M, R, F
@@ -459,19 +456,12 @@ def _extract(built: BuiltModel, res: SolveResult) -> UcSolution:
     u = np.rint(x[vm.u]).astype(int)
     y = np.rint(x[vm.y]).astype(int)
     z = np.rint(x[vm.z]).astype(int)
-    fw = frequency_weights(inst.units, inst.fleet)
-    ualpha = u[None, :, :] * inst.tree.availability     # (S, I, T)
-    f_sys = np.einsum("sit,i->st", ualpha, fw.f_w)
-    r_sys = np.einsum("sit,i->st", ualpha, fw.r_w)
-    m_sys = np.einsum("sit,i->st", ualpha, fw.m_w)
-
     sol = UcSolution(
         status=res.status, objective=res.objective, mip_gap=res.mip_gap,
         u=u, y=y, z=z, p=x[vm.p], w=x[vm.w],
         delta_da=x[vm.delta_da], delta_rt=x[vm.delta_rt],
         r_up=x[vm.r_up], r_dn=x[vm.r_dn],
-        spill=x[vm.spill], shed=x[vm.shed],
-        f_sys=f_sys, r_sys=r_sys, m_sys=m_sys, **counts,
+        spill=x[vm.spill], shed=x[vm.shed], **counts,
     )
     sol.cost_breakdown = cost_breakdown(sol, inst)
     residuals = built.model.residuals(x)

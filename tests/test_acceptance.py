@@ -104,7 +104,8 @@ def test_criterion_3_closed_form_vs_simulation():
             f_g=r_g * rng.uniform(0.1, 0.4), t_turbine=7.0, s_base=100.0)
         dp = rng.uniform(0.01, 0.1)
         met = frequency_metrics(agg, dp, limits)
-        ts, df = simulate_step_response(agg, dp, horizon_s=200.0, dt=1e-3)
+        ts, df = simulate_step_response(agg, dp, limits.f_base,
+                                        horizon_s=200.0, dt=1e-3)
         worst[0] = max(worst[0],
                        abs(met.nadir_hz - (-df.min())) / (-df.min()))
         rocof = -(df[1] - df[0]) / (ts[1] - ts[0])

@@ -14,6 +14,8 @@ from gridfreq.system import ConverterFleet, FrequencyLimits
 
 from conftest import make_unit
 
+F_BASE = FrequencyLimits().f_base
+
 
 def single_nuclear_agg():
     unit = make_unit(uid="n", p_max=400.0, inertia_h=4.5, gain_k=0.98,
@@ -133,7 +135,7 @@ class TestMetrics:
         ]
         for agg, nadir in cases:
             met = frequency_metrics(agg, 0.05, limits)
-            _, df = simulate_step_response(agg, 0.05, horizon_s=600.0)
+            _, df = simulate_step_response(agg, 0.05, F_BASE, horizon_s=600.0)
             assert met.nadir_hz == pytest.approx(-df.min(), rel=1e-6)
             assert met.nadir_hz == pytest.approx(nadir, rel=1e-6)
 
@@ -191,7 +193,7 @@ class TestClosedFormAgreement:
         for agg in examples:
             met = frequency_metrics(agg, 0.05, limits)
             # long enough for the slowest pole to settle
-            ts, df = simulate_step_response(agg, 0.05, horizon_s=600.0)
+            ts, df = simulate_step_response(agg, 0.05, F_BASE, horizon_s=600.0)
             nadir, ss = -df.min(), -df[-1]
             rocof = -(df[1] - df[0]) / (ts[1] - ts[0])
             for value in (met.nadir_hz, vectorized_nadir(agg, 0.05, limits)):
@@ -204,37 +206,37 @@ class TestSimulator:
     def test_initial_slope_matches_rocof(self, limits):
         agg = single_nuclear_agg()
         met = frequency_metrics(agg, 0.05, limits)
-        ts, df = simulate_step_response(agg, 0.05, dt=1e-4)
+        ts, df = simulate_step_response(agg, 0.05, F_BASE, dt=1e-4)
         slope = (df[1] - df[0]) / (ts[1] - ts[0])
         assert -slope == pytest.approx(met.rocof_hz_s, rel=1e-3)
 
     def test_tail_matches_steady_state(self, limits):
         agg = single_nuclear_agg()
         met = frequency_metrics(agg, 0.05, limits)
-        _, df = simulate_step_response(agg, 0.05, horizon_s=60.0)
+        _, df = simulate_step_response(agg, 0.05, F_BASE, horizon_s=60.0)
         assert -df[-1] == pytest.approx(met.ss_dev_hz, rel=1e-3)
 
     def test_zero_step_is_flat(self):
-        ts, df = simulate_step_response(single_nuclear_agg(), 0.0)
+        ts, df = simulate_step_response(single_nuclear_agg(), 0.0, F_BASE)
         assert np.all(df == 0.0)
         assert len(ts) == len(df)
 
     def test_argument_validation(self):
         agg = single_nuclear_agg()
         with pytest.raises(FrequencyModelError):
-            simulate_step_response(agg, 0.05, dt=0.0)
+            simulate_step_response(agg, 0.05, F_BASE, dt=0.0)
         with pytest.raises(FrequencyModelError):
-            simulate_step_response(agg, 0.05, horizon_s=5.0)
+            simulate_step_response(agg, 0.05, F_BASE, horizon_s=5.0)
         for t_turbine in (0.0, -7.0):
             bad = AggregateParams(m=8.0, m_v=0.0, d=0.6, r_g=20.0, f_g=5.0,
                                   t_turbine=t_turbine, s_base=100.0)
             with pytest.raises(FrequencyModelError, match="t_turbine"):
-                simulate_step_response(bad, 0.05)
+                simulate_step_response(bad, 0.05, F_BASE)
 
     def test_superposition(self):
         agg = single_nuclear_agg()
-        _, df1 = simulate_step_response(agg, 0.02)
-        _, df2 = simulate_step_response(agg, 0.04)
+        _, df1 = simulate_step_response(agg, 0.02, F_BASE)
+        _, df2 = simulate_step_response(agg, 0.04, F_BASE)
         assert np.allclose(2.0 * df1, df2, atol=1e-12)
 
 
@@ -294,14 +296,15 @@ class TestBlockScan:
         pytest.param(MONOTONE, 0.05, 20.0, 0.1, id="short"),
     ])
     def test_matches_sequential(self, agg, delta_p, horizon_s, dt):
-        ts, df = simulate_step_response(agg, delta_p, horizon_s=horizon_s,
-                                        dt=dt)
+        ts, df = simulate_step_response(agg, delta_p, F_BASE,
+                                        horizon_s=horizon_s, dt=dt)
         ref = sequential_rk4(agg, delta_p, horizon_s, dt)
         assert len(ts) == len(df) == len(ref)
         assert np.max(np.abs(df - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_step_matches_sequential(self):
-        _, df = simulate_step_response(OVERSHOOT, 0.0, horizon_s=20.0)
+        _, df = simulate_step_response(OVERSHOOT, 0.0, F_BASE,
+                                       horizon_s=20.0)
         assert np.array_equal(df, sequential_rk4(OVERSHOOT, 0.0, 20.0, 1e-3))
 
 

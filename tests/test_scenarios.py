@@ -66,11 +66,9 @@ class TestBuildTree:
         i2 = tree.unit_ids.index("g2")
         assert list(tree.availability[s, i2]) == [1, 1, 0, 0]
         assert np.all(tree.availability[s, :i2] == 1)
-        assert tree.outage_size[s, 2] == pytest.approx(100.0 / 400.0)
-        assert tree.outage_size[s, 0] == 0.0
+        assert tree.outage_size == {"g2": 100.0 / 400.0}
         s0 = 0
         assert np.all(tree.availability[s0] == 1)
-        assert np.all(tree.outage_size[s0] == 0.0)
 
     def test_joint_probabilities_multiply(self):
         units = four_units()
@@ -87,17 +85,26 @@ class TestBuildTree:
 
     def test_outage_branches(self):
         # credible_outages order (not unit order), each branch's first
-        # scenario, and nothing without outages
+        # scenario, whose availability every scenario of the branch
+        # shares, the same keys as outage_size, and nothing without
+        # outages
         model = ContingencyModel(credible_outages=["g3", "g1"],
                                  contingency_hour=1, lam=1e-3)
         tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
         assert list(tree.outage_branches.items()) == [("g3", 3), ("g1", 6)]
+        assert list(tree.outage_size) == ["g3", "g1"]
         for uid, s in tree.outage_branches.items():
             assert tree.scenarios[s].outage_unit == uid
             assert tree.scenarios[s - 1].outage_unit != uid
+            branch = [k for k, sc in enumerate(tree.scenarios)
+                      if sc.outage_unit == uid]
+            assert len(branch) == 3
+            for k in branch:
+                assert np.array_equal(tree.availability[k],
+                                      tree.availability[s])
         model.credible_outages = []
         tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
-        assert tree.outage_branches == {}
+        assert tree.outage_branches == {} == tree.outage_size
 
     def test_unknown_outage_unit(self):
         model = ContingencyModel(credible_outages=["nope"],

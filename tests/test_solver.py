@@ -131,6 +131,20 @@ def test_solve_fixed_skips_only_proven_infeasible_rows(monkeypatch):
     assert not runs
 
 
+@pytest.mark.parametrize("direct", [True, False])
+def test_solve_fixed_refuses_an_integer_model(monkeypatch, direct):
+    """A series is of LPs; a model with an integer column is refused on
+    either path, before any run."""
+    if direct and solver._highs is None:
+        pytest.skip("scipy without its bundled HiGHS binding")
+    if not direct:
+        monkeypatch.setattr(solver, "_highs", None)
+    m, cols = fixing_model()
+    m.is_int = [False, False, True, False]
+    with pytest.raises(ValueError, match="without integer columns"):
+        HighsBackend().solve_fixed(m, cols, FIXINGS, 60.0)
+
+
 def test_separated_counts_zero_weights_on_infinite_bounds():
     m, cols = fixing_model()
     asm = m.assembly()

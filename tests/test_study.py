@@ -172,16 +172,30 @@ class TestCloudMembership:
                    for sc in d.instance.tree.scenarios)
         study._assert_cloud_membership(d.instance, d.solution)
 
-    def test_aggregate_off_the_cloud_is_refused(self, dual):
+    def test_one_cloud_point_per_outage_unit(self, dual, monkeypatch):
+        # the day has two wind paths, so two g3 scenarios, and one point
         d = dual[2].days[1]
-        scen = next(s for s, sc in enumerate(d.instance.tree.scenarios)
-                    if sc.outage_unit == "g3")
-        m_sys = d.solution.m_sys.copy()
-        m_sys[scen, d.instance.tree.contingency_hour] += 1e-6
+        tree = d.instance.tree
+        assert [sc.outage_unit for sc in tree.scenarios].count("g3") == 2
+        calls = []
+        point = study.cloud_point
+        monkeypatch.setattr(study, "cloud_point", lambda units, uid, *a: (
+            calls.append(uid) or point(units, uid, *a)))
+        study._assert_cloud_membership(d.instance, d.solution)
+        assert calls == list(tree.outage_branches) == ["g3"]
+
+    def test_aggregate_off_the_cloud_is_refused(self, dual, monkeypatch):
+        d = dual[2].days[1]
+        point = study.cloud_point
+
+        def shifted(*args):
+            m, r_g, f_g = point(*args)
+            return m + 1e-6, r_g, f_g
+
+        monkeypatch.setattr(study, "cloud_point", shifted)
         with pytest.raises(StudyError, match="realized aggregate for "
                            "outage g3 not in the enumerated commitment set"):
-            study._assert_cloud_membership(
-                d.instance, replace(d.solution, m_sys=m_sys))
+            study._assert_cloud_membership(d.instance, d.solution)
 
 
 class TestPosthoc:
@@ -219,8 +233,8 @@ class TestPosthoc:
                                 system.s_base(inst.units, inst.fleet))
         agg = aggregate_params(inst.units, online, inst.fleet,
                                inst.t_turbine, d_override=d_const)
-        met = frequency_metrics(agg, inst.tree.outage_size[scen, t_c],
-                                inst.limits)
+        dp = 30.0 / system.s_base(inst.units, inst.fleet)   # g3's p_max
+        met = frequency_metrics(agg, dp, inst.limits)
         assert -df[-1] == pytest.approx(met.ss_dev_hz, rel=1e-3)
 
 

@@ -23,7 +23,7 @@ from gridfreq.nadir_linearization import (NadirBounds, PwlFit, admitted,
                                           make_nadir_fn, nadir_grid)
 from gridfreq.scenarios import ContingencyModel, WindScenario, build_tree
 from gridfreq.solver import HighsBackend
-from gridfreq.study import day_instance, prepare_surrogates
+from gridfreq.study import _after_outage, day_instance, prepare_surrogates
 from gridfreq.system import ConverterFleet, FrequencyLimits
 from gridfreq.uc_core import (InitialState, Line, Network, UcInstance,
                               UcModelError, WindFarm, _commitment_patterns,
@@ -251,14 +251,12 @@ def test_freq_mode_monotone_cost():
     assert sol_off.objective <= sol_b.objective + 1e-6
     assert sol_off.objective <= sol_p.objective + 1e-6
 
-    # bounds mode satisfies its box rows exactly at the contingency cell
-    s_c = next(i for i, s in enumerate(tree.scenarios)
-               if s.outage_unit == "g3")
-    t_c = tree.contingency_hour
+    # bounds mode keeps the aggregates after the outage in its box
+    agg, _ = _after_outage(sol_b, mk("bounds", surrogates=bounds), "g3")
     b = bounds["g3"]
-    assert sol_b.f_sys[s_c, t_c] >= b.f_lim - 1e-7
-    assert sol_b.r_sys[s_c, t_c] >= b.r_lim - 1e-7
-    assert sol_b.m_sys[s_c, t_c] >= b.m_lim - 1e-7
+    assert agg.f_g >= b.f_lim - 1e-7
+    assert agg.r_g >= b.r_lim - 1e-7
+    assert agg.m >= b.m_lim - 1e-7
 
     # brute force agrees in constrained mode too
     ref = brute_force_uc(mk("bounds", surrogates=bounds))
@@ -316,7 +314,8 @@ def test_bounds_screen_meets_the_conditions_per_scenario():
             continue
         online = u_t * tree.availability[s, :, t]
         m_sys, r_sys, f_sys = online @ fw.m_w, online @ fw.r_w, online @ fw.f_w
-        dp, box = tree.outage_size[s, t], inst.surrogates[scen.outage_unit]
+        dp = tree.outage_size[scen.outage_unit]
+        box = inst.surrogates[scen.outage_unit]
         meets &= ((lim.rocof_lim / lim.f_base * (m_sys + fw.m_v) >= dp)
                   & (lim.ss_lim / lim.f_base * (fw.d + r_sys) >= dp)
                   & (m_sys >= box.m_lim) & (r_sys >= box.r_lim)
@@ -356,23 +355,26 @@ def test_zero_size_outage_gets_no_frequency_rows():
 
 
 def test_aggregates_match_definitions():
-    inst = small_instance()
-    sol = solve(build_model(inst), mip_gap=1e-9)
-    s_base = system.s_base(inst.units, inst.fleet)
-    units = inst.units
-    alpha = inst.tree.availability
-    for s in range(len(inst.tree.scenarios)):
-        for t in range(inst.horizon):
-            k = np.array([u.p_max * u.gain_k / s_base * sol.u[i, t]
-                          * alpha[s, i, t] for i, u in enumerate(units)])
-            assert sol.r_sys[s, t] == pytest.approx(
-                sum(k[i] / units[i].droop for i in range(len(units))))
-            assert sol.f_sys[s, t] == pytest.approx(
-                sum(units[i].turbine_fraction * k[i] / units[i].droop
-                    for i in range(len(units))))
-            assert sol.m_sys[s, t] == pytest.approx(
-                sum(2.0 * units[i].inertia_h * k[i]
-                    for i in range(len(units))))
+    """After each credible outage, the aggregates are the weight
+    definitions summed over the units committed at the contingency hour
+    less the lost one."""
+    for inst in (small_instance(), edge_instance("off")):
+        sol = solve(build_model(inst), mip_gap=1e-9)
+        s_base = system.s_base(inst.units, inst.fleet)
+        t = inst.tree.contingency_hour
+        for uid in inst.tree.outage_branches:
+            agg, _ = _after_outage(sol, inst, uid)
+            on = [u for i, u in enumerate(inst.units)
+                  if sol.u[i, t] and u.id != uid]
+            assert on
+            k = [u.p_max * u.gain_k / s_base for u in on]
+            assert agg.r_g == pytest.approx(
+                sum(ki / u.droop for ki, u in zip(k, on)))
+            assert agg.f_g == pytest.approx(
+                sum(u.turbine_fraction * ki / u.droop
+                    for ki, u in zip(k, on)))
+            assert agg.m == pytest.approx(
+                sum(2.0 * u.inertia_h * ki for ki, u in zip(k, on)))
 
 
 def test_validation_errors():
