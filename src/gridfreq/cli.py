@@ -19,7 +19,8 @@ from .nadir_linearization import (LinearizationError, admitted,
                                   enumerate_commitments, extract_bounds,
                                   fit_pwl, make_nadir_fn, nadir_grid)
 from .scenarios import ScenarioError
-from .study import StudyConfig, StudyError, report, run_study
+from .study import (StudyConfig, StudyError, assert_cloud_membership,
+                    prepare_surrogates, report, run_study)
 from .system import SystemDataError, load_system
 from .uc_core import (UcModelError, build_model, dump_solution,
                       load_instance, residual_ok, solve)
@@ -79,11 +80,10 @@ def cmd_linearize(args) -> int:
 def cmd_solve(args) -> int:
     instance = load_instance(args.config, freq_mode=args.freq_mode)
     if instance.freq_mode in ("bounds", "pwl"):
-        from .study import prepare_surrogates
         instance.surrogates = prepare_surrogates(
             instance.units, instance.fleet, instance.limits,
             instance.t_turbine,
-            sorted(instance.tree.outage_branches),
+            sorted(instance.tree.outage_size),
             instance.freq_mode, args.seed)
     built = build_model(instance)
     sol = solve(built, mip_gap=args.mip_gap, time_limit=args.time_limit)
@@ -93,6 +93,8 @@ def cmd_solve(args) -> int:
     if not residual_ok(sol, instance):
         _err(f"solution residual {sol.max_residual:.3e} exceeds tolerance")
         return 1
+    if instance.freq_mode == "bounds":
+        assert_cloud_membership(instance, sol)
     dump_solution(sol, instance, args.out)
     print(f"status {sol.status} objective {sol.objective:.2f} "
           f"gap {sol.mip_gap} -> {args.out}", file=sys.stderr)

@@ -36,7 +36,6 @@ class AggregateParams:
     r_g: float
     f_g: float
     t_turbine: float
-    s_base: float
 
     @property
     def m_eff(self) -> float:
@@ -132,7 +131,7 @@ def aggregate_params(units: list[SynchronousUnit],
     return AggregateParams(m=float(w.m_w[on].sum()), m_v=w.m_v, d=d,
                            r_g=float(w.r_w[on].sum()),
                            f_g=float(w.f_w[on].sum()),
-                           t_turbine=t_turbine, s_base=w.s_base)
+                           t_turbine=t_turbine)
 
 
 def nadir_closed_form(m_eff, d, r_g, f_g, t, delta_p, f_base):

@@ -71,15 +71,6 @@ class ScenarioTree:
     # credible_outages order
     outage_size: dict[str, float]
 
-    @property
-    def outage_branches(self) -> dict[str, int]:
-        """Each outage unit's first scenario index, in scenario order; the
-        post-outage state depends only on the first stage, so that
-        scenario stands for the unit's whole branch."""
-        units = [s.outage_unit for s in self.scenarios]
-        return {u: units.index(u) for u in dict.fromkeys(units)
-                if u is not None}
-
 
 def contingency_probabilities(model: ContingencyModel
                               ) -> tuple[float, dict[str, float]]:

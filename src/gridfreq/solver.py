@@ -67,7 +67,6 @@ class SolveResult:
 class Assembly:
     """The parts of the solver input that depend only on rows and is_int."""
 
-    csr: sp.csr_matrix
     csc: sp.csc_matrix
     row_lo: np.ndarray
     row_hi: np.ndarray
@@ -154,14 +153,14 @@ class SolverModel:
     def assembly(self) -> Assembly:
         if self._assembly is None:
             b = self._rows()
-            csr = sp.csr_matrix((b.coef, (b.row, b.col)),
+            csc = sp.csc_matrix((b.coef, (b.row, b.col)),
                                 shape=(self.n_rows, self.n_vars))
-            self._assembly = Assembly(csr, csr.tocsc(), b.lo, b.hi,
+            self._assembly = Assembly(csc, b.lo, b.hi,
                                       np.array(self.is_int, dtype=np.int32))
         return self._assembly
 
-    def matrix(self) -> sp.csr_matrix:
-        return self.assembly().csr
+    def matrix(self) -> sp.csc_matrix:
+        return self.assembly().csc
 
     def fixed(self, cols, vals) -> SolverModel:
         """A copy with ``cols`` fixed at ``vals``. It has its own column
@@ -195,7 +194,7 @@ class SolverModel:
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row constraint violation of a candidate point (>= 0)."""
         asm = self.assembly()
-        ax = asm.csr @ x
+        ax = asm.csc @ x
         return np.maximum(np.maximum(asm.row_lo - ax, ax - asm.row_hi), 0.0)
 
 
@@ -333,7 +332,7 @@ def _separated(model: SolverModel, asm: Assembly, cols, vals,
     Any ``y`` gives a sound test; an infeasible LP's dual ray is one that
     separates its own fixing.
     """
-    d = asm.csr.T @ y
+    d = asm.csc.T @ y
     lo, hi = _range(y, asm.row_lo, asm.row_hi)
     free = np.ones(model.n_vars, dtype=bool)
     free[cols] = False
@@ -383,7 +382,7 @@ def _solve_milp(model: SolverModel, mip_gap: float,
     asm = model.assembly()
     constraints = []
     if model.n_rows:
-        constraints.append(LinearConstraint(asm.csr, asm.row_lo,
+        constraints.append(LinearConstraint(asm.csc, asm.row_lo,
                                             asm.row_hi))
     with warnings.catch_warnings():
         # milp warns that it hands HIGHS_OPTIONS to HiGHS verbatim

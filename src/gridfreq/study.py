@@ -168,7 +168,7 @@ def _carry_state(units, days: list[DayResult]) -> InitialState:
     return nxt
 
 
-def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
+def assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
     """Bounds mode is conservative only over enumerated commitments.
 
     Verify each outage unit's realized post-contingency aggregates match
@@ -178,7 +178,7 @@ def _assert_cloud_membership(instance: UcInstance, sol: UcSolution) -> None:
     """
     t = instance.tree.contingency_hour
     online = {u.id for u, on in zip(instance.units, sol.u[:, t]) if on}
-    for uid in instance.tree.outage_branches:
+    for uid in instance.tree.outage_size:
         agg, _ = _after_outage(sol, instance, uid)
         m, r_g, f_g = cloud_point(instance.units, uid, instance.fleet, online)
         if not (abs(m - agg.m) < 1e-9 and abs(r_g - agg.r_g) < 1e-9
@@ -235,7 +235,7 @@ def run_study(template: StudyTemplate, config: StudyConfig,
                 f"day {day} ({mode}) residual {sol.max_residual:.3e} "
                 f"exceeds tolerance {residual_tol(inst):.3e}")
         if mode == "bounds":
-            _assert_cloud_membership(inst, sol)
+            assert_cloud_membership(inst, sol)
         days.append(DayResult(day=day, freq_mode=mode, instance=inst,
                               solution=sol))
         state = _carry_state(system.units, days)
@@ -251,17 +251,15 @@ def _after_outage(sol: UcSolution, instance: UcInstance,
                   outage: str) -> tuple[AggregateParams, float]:
     """Aggregate constants of the units left online when ``outage`` trips
     at the contingency hour, at the constant fleet damping the schedule
-    assumed, read off the outage's first scenario
-    (``ScenarioTree.outage_branches``), and the size of the disturbance
-    (``ScenarioTree.outage_size``)."""
+    assumed: the first-stage u at that hour less ``outage``; and the size
+    of the disturbance (``ScenarioTree.outage_size``)."""
     tree = instance.tree
-    s = tree.outage_branches.get(outage)
-    if s is None:
+    if outage not in tree.outage_size:
         raise StudyError(f"unit {outage} has no outage branch, so no "
                          f"disturbance")
     t = tree.contingency_hour
     w = frequency_weights(instance.units, instance.fleet)
-    online = (sol.u[:, t] * tree.availability[s, :, t]) > 0
+    online = (sol.u[:, t] > 0) & (np.array(tree.unit_ids) != outage)
     agg = aggregate_params(instance.units, online, instance.fleet,
                            instance.t_turbine, d_override=w.d)
     return agg, tree.outage_size[outage]

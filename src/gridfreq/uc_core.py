@@ -164,7 +164,7 @@ class UcInstance:
                         f"wind series of {farm} in scenario {s.id} shorter "
                         f"than horizon {self.horizon}")
         if self.freq_mode in ("bounds", "pwl"):
-            needed = set(self.tree.outage_branches)
+            needed = set(self.tree.outage_size)
             have = set(self.surrogates or {})
             if not needed <= have:
                 raise UcModelError(
@@ -389,8 +389,8 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     """Frequency-security rows, written once per credible outage unit.
 
     After an outage, turbine fraction F, droop R and synchronous inertia M
-    are affine in u at the contingency hour and the same on every wind
-    path, so each unit's rows read its first scenario's availability.
+    are affine in u at the contingency hour less the lost unit, the same
+    on every wind path, so each unit's rows read u without that unit.
     RoCoF, (rocof_lim/f_b) (M + M_v) >= dP, and quasi steady state,
     (ss_lim/f_b) (D + R) >= dP, bound M and R from below. Bounds mode
     writes M >= max(RoCoF bound, m_lim), R >= max(QSS bound, r_lim) and
@@ -402,14 +402,14 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
     fw = frequency_weights(instance.units, instance.fleet)
     t = tree.contingency_hour
     # a unit of no size trips nothing, so it gets no rows
-    branches = {uid: s for uid, s in tree.outage_branches.items()
-                if tree.outage_size[uid] > 0}
-    if not branches:
+    lost = [uid for uid, size in tree.outage_size.items() if size > 0]
+    if not lost:
         return
-    s = np.array(list(branches.values()))
-    dp = np.array([tree.outage_size[uid] for uid in branches])[:, None]
-    on = np.where(tree.availability[s, :, t] != 0, vm.u[:, t], -1)[:, None]
-    surrogates = [instance.surrogates[uid] for uid in branches]
+    dp = np.array([tree.outage_size[uid] for uid in lost])[:, None]
+    # (U, 1, I): u at the contingency hour, each lost unit's column -1
+    on = np.where(np.array(tree.unit_ids) != np.array(lost)[:, None],
+                  vm.u[:, t], -1)[:, None]
+    surrogates = [instance.surrogates[uid] for uid in lost]
     weights = np.stack([fw.m_w, fw.r_w, fw.f_w])          # M, R, F
     lo = np.hstack([dp * f_b / limits.rocof_lim - fw.m_v,
                     dp * f_b / limits.ss_lim - fw.d])     # (U, 2) on M, R
@@ -418,7 +418,7 @@ def _add_frequency_rows(m: SolverModel, vm: VarMap,
         box[:, :2] = np.maximum(box[:, :2], lo)
         m.add_rows(on, weights, box, np.inf)
         return
-    t3 = m.add_vars(len(s), -np.inf, np.inf)
+    t3 = m.add_vars(len(lost), -np.inf, np.inf)
     for k, fit in enumerate(surrogates):
         a, b, c, d = fit.coeffs.T[..., None]
         m.add_rows(on[k], weights[:2], lo[k], np.inf)
@@ -491,7 +491,7 @@ def solve(built: BuiltModel, mip_gap: float = 1e-4,
         return max(0.0, time_limit - (time.perf_counter() - t0))
 
     point, start_iterations = None, None
-    if built.instance.tree.outage_branches:
+    if built.instance.tree.outage_size:
         point, start_iterations = _start_point(built, mip_gap, left, backend)
     if point is not None and point.mip_gap <= mip_gap:
         res = point
@@ -656,7 +656,7 @@ def _commitment_patterns(built: BuiltModel):
     sub = m.without(np.flatnonzero(other))
     asm = sub.assembly()
     # u's bounds screen as identity rows below the fixed rows
-    g = np.vstack([asm.csr.toarray(), np.eye(n, len(cols))])
+    g = np.vstack([asm.csc.toarray(), np.eye(n, len(cols))])
     lo = np.concatenate([asm.row_lo, sub.lb[vm.u.ravel()]])
     hi = np.concatenate([asm.row_hi, sub.ub[vm.u.ravel()]])
     u0 = np.array([[int(inst.initial.commitment.get(unit.id, 0))]
@@ -697,10 +697,11 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
     chunk infeasible without their LP. A backend without ``solve_fixed``
     solves each pattern on its own (``solver.solve_each``). The model is
     never written. The chunks run on one worker thread per CPU this
-    process may use. The answer is the lowest objective, and among equal
-    objectives the first pattern in ``itertools.product`` order; a
-    chunk's LPs, and the patterns it skips, depend only on the chunk, not
-    on which worker runs it, so the answer is the same for any CPU count.
+    process may use, or per CPU where the platform cannot say. The answer
+    is the lowest objective, and among equal objectives the first pattern
+    in ``itertools.product`` order; a chunk's LPs, and the patterns it
+    skips, depend only on the chunk, not on which worker runs it, so the
+    answer is the same for any CPU count.
     If any LP stops at its time limit the result is ``timeout``, with no
     point: that LP might have been the cheapest.
     """
@@ -729,7 +730,10 @@ def brute_force_uc(instance: UcInstance, backend=None) -> UcSolution:
                      if res.status == "optimal"),
                     key=lambda b: b[:2], default=None))
 
-    todo, n = np.flatnonzero(passes), len(os.sched_getaffinity(0))
+    todo = np.flatnonzero(passes)
+    # os.sched_getaffinity is missing on macOS and Windows
+    n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=n) as pool:
         found = list(pool.map(cheapest, (todo[i:i + _CHUNK] for i in
                                          range(0, len(todo), _CHUNK))))

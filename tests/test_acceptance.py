@@ -101,7 +101,7 @@ def test_criterion_3_closed_form_vs_simulation():
         agg = AggregateParams(
             m=rng.uniform(4.0, 15.0), m_v=rng.uniform(0.0, 3.0),
             d=rng.uniform(0.3, 1.2), r_g=r_g,
-            f_g=r_g * rng.uniform(0.1, 0.4), t_turbine=7.0, s_base=100.0)
+            f_g=r_g * rng.uniform(0.1, 0.4), t_turbine=7.0)
         dp = rng.uniform(0.01, 0.1)
         met = frequency_metrics(agg, dp, limits)
         ts, df = simulate_step_response(agg, dp, limits.f_base,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridfreq import cli, nadir_linearization
+from gridfreq import cli, nadir_linearization, study
 from gridfreq.cli import main
 from gridfreq.nadir_linearization import NadirBounds
 from gridfreq.system import (ConverterFleet, FrequencyLimits, PowerSystem,
@@ -206,6 +206,24 @@ class TestSolve:
                      "--out", str(out), "--freq-mode", "off"]) == 1
         assert capsys.readouterr().err == (
             f"error: solution residual {shown} exceeds tolerance\n")
+        assert not out.exists()
+
+    def test_bounds_aggregate_off_the_cloud_is_an_error(
+            self, case_dir, capsys, monkeypatch):
+        # the bounds-mode cloud-membership check runs before the dump
+        point = study.cloud_point
+
+        def shifted(*args):
+            m, r_g, f_g = point(*args)
+            return m + 1e-6, r_g, f_g
+
+        monkeypatch.setattr(study, "cloud_point", shifted)
+        out = case_dir / "sol"
+        assert main(["solve", "--config", str(case_dir / "instance.json"),
+                     "--out", str(out), "--freq-mode", "bounds"]) == 1
+        assert capsys.readouterr().err == (
+            "error: realized aggregate for outage g3 not in the enumerated "
+            "commitment set\n")
         assert not out.exists()
 
     def test_missing_instance(self, case_dir, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gridfreq.freq_dynamics import (AggregateParams, FrequencyModelError,
                                     _rk4_transition, aggregate_params,
                                     check_limits, fleet_damping,
-                                    frequency_metrics, nadir_closed_form,
+                                    frequency_metrics, frequency_weights,
+                                    nadir_closed_form,
                                     simulate_step_response)
 from gridfreq.system import ConverterFleet, FrequencyLimits
 
@@ -37,8 +38,8 @@ class TestAggregation:
         units = [make_unit(uid="a", p_max=300.0),
                  make_unit(uid="b", bus="n2", p_max=100.0)]
         fleet = ConverterFleet(vsm_capacity=80.0, droop_capacity=20.0)
+        assert frequency_weights(units, fleet).s_base == 500.0
         agg = aggregate_params(units, [True, True], fleet, 7.0)
-        assert agg.s_base == 500.0
         assert agg.m_v == pytest.approx(2 * 6.0 * 1.0 * 80.0 / 500.0)
 
     def test_offline_unit_excluded_from_gains_not_base(self):
@@ -47,7 +48,6 @@ class TestAggregation:
         fleet = ConverterFleet(vsm_capacity=0.0, droop_capacity=0.0)
         both = aggregate_params(units, [True, True], fleet, 7.0)
         one = aggregate_params(units, [True, False], fleet, 7.0)
-        assert one.s_base == both.s_base
         k_b = 100.0 * 1.1 / 400.0
         assert both.m - one.m == pytest.approx(2 * 7.0 * k_b)
 
@@ -78,11 +78,11 @@ class TestAggregation:
 class TestSecondOrder:
     def test_nonpositive_inertia_rejected(self, limits):
         agg = AggregateParams(m=0.0, m_v=0.0, d=0.6, r_g=20.0, f_g=5.0,
-                              t_turbine=7.0, s_base=100.0)
+                              t_turbine=7.0)
         with pytest.raises(FrequencyModelError, match="inertia"):
             frequency_metrics(agg, 0.05, limits)
         agg = AggregateParams(m=8.0, m_v=0.0, d=-0.6, r_g=0.5, f_g=0.1,
-                              t_turbine=7.0, s_base=100.0)
+                              t_turbine=7.0)
         with pytest.raises(FrequencyModelError, match="damping"):
             frequency_metrics(agg, 0.05, limits)
 
@@ -105,7 +105,7 @@ class TestMetrics:
 
     def test_invalid_when_turbine_share_exceeds_droop(self, limits):
         agg = AggregateParams(m=8.0, m_v=0.0, d=0.6, r_g=5.0, f_g=6.0,
-                              t_turbine=7.0, s_base=100.0)
+                              t_turbine=7.0)
         with pytest.raises(FrequencyModelError, match="invalid"):
             frequency_metrics(agg, 0.05, limits)
 
@@ -128,10 +128,10 @@ class TestMetrics:
             # heavy inertia with weak droop: monotone, the nadir is the
             # steady state, reached only after several minutes
             (AggregateParams(m=40.0, m_v=0.0, d=0.3, r_g=1.2, f_g=0.2,
-                             t_turbine=7.0, s_base=100.0), 1.6666666666666667),
+                             t_turbine=7.0), 1.6666666666666667),
             # large turbine share: overshoots before settling
             (AggregateParams(m=2.0, m_v=0.0, d=0.5, r_g=10.0, f_g=9.0,
-                             t_turbine=7.0, s_base=100.0), 0.259389),
+                             t_turbine=7.0), 0.259389),
         ]
         for agg, nadir in cases:
             met = frequency_metrics(agg, 0.05, limits)
@@ -155,8 +155,7 @@ MONOTONE_BOX = dict(m=(40.0, 80.0), m_v=(0.0, 3.0), d=(0.2, 0.5),
 def aggregates(draw, box):
     v = {k: draw(st.floats(lo, hi)) for k, (lo, hi) in box.items()}
     return AggregateParams(m=v["m"], m_v=v["m_v"], d=v["d"], r_g=v["r_g"],
-                           f_g=v["r_g"] * v["f_share"], t_turbine=7.0,
-                           s_base=100.0)
+                           f_g=v["r_g"] * v["f_share"], t_turbine=7.0)
 
 
 def vectorized_nadir(agg, delta_p, limits):
@@ -182,13 +181,13 @@ class TestClosedFormAgreement:
         examples = [
             # underdamped, inside criterion 3's box
             AggregateParams(m=8.0, m_v=1.5, d=0.6, r_g=20.0, f_g=5.0,
-                            t_turbine=7.0, s_base=100.0),
+                            t_turbine=7.0),
             # overdamped with an overshoot: large turbine share
             AggregateParams(m=2.5, m_v=0.5, d=0.8, r_g=12.0, f_g=10.0,
-                            t_turbine=7.0, s_base=100.0),
+                            t_turbine=7.0),
             # overdamped and monotone: heavy inertia, weak droop
             AggregateParams(m=50.0, m_v=1.0, d=0.3, r_g=0.9, f_g=0.2,
-                            t_turbine=7.0, s_base=100.0),
+                            t_turbine=7.0),
         ]
         for agg in examples:
             met = frequency_metrics(agg, 0.05, limits)
@@ -229,7 +228,7 @@ class TestSimulator:
             simulate_step_response(agg, 0.05, F_BASE, horizon_s=5.0)
         for t_turbine in (0.0, -7.0):
             bad = AggregateParams(m=8.0, m_v=0.0, d=0.6, r_g=20.0, f_g=5.0,
-                                  t_turbine=t_turbine, s_base=100.0)
+                                  t_turbine=t_turbine)
             with pytest.raises(FrequencyModelError, match="t_turbine"):
                 simulate_step_response(bad, 0.05, F_BASE)
 
@@ -272,14 +271,14 @@ def criterion_3_draws(count):
         draws.append(AggregateParams(
             m=rng.uniform(4.0, 15.0), m_v=rng.uniform(0.0, 3.0),
             d=rng.uniform(0.3, 1.2), r_g=r_g,
-            f_g=r_g * rng.uniform(0.1, 0.4), t_turbine=7.0, s_base=100.0))
+            f_g=r_g * rng.uniform(0.1, 0.4), t_turbine=7.0))
     return draws
 
 
 OVERSHOOT = AggregateParams(m=2.5, m_v=0.5, d=0.8, r_g=12.0, f_g=10.0,
-                            t_turbine=7.0, s_base=100.0)
+                            t_turbine=7.0)
 MONOTONE = AggregateParams(m=50.0, m_v=1.0, d=0.3, r_g=0.9, f_g=0.2,
-                           t_turbine=7.0, s_base=100.0)
+                           t_turbine=7.0)
 
 
 class TestBlockScan:

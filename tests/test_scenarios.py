@@ -84,27 +84,23 @@ class TestBuildTree:
         assert probs[("g1", "b")] == pytest.approx(0.3 * pi_ck["g1"])
 
     def test_outage_branches(self):
-        # credible_outages order (not unit order), each branch's first
-        # scenario, whose availability every scenario of the branch
-        # shares, the same keys as outage_size, and nothing without
-        # outages
+        # outage units in credible_outages order (not unit order); each
+        # outage scenario loses its own unit from the contingency hour on
+        # and nothing else; no outage units without outages
         model = ContingencyModel(credible_outages=["g3", "g1"],
                                  contingency_hour=1, lam=1e-3)
         tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
-        assert list(tree.outage_branches.items()) == [("g3", 3), ("g1", 6)]
         assert list(tree.outage_size) == ["g3", "g1"]
-        for uid, s in tree.outage_branches.items():
-            assert tree.scenarios[s].outage_unit == uid
-            assert tree.scenarios[s - 1].outage_unit != uid
-            branch = [k for k, sc in enumerate(tree.scenarios)
-                      if sc.outage_unit == uid]
-            assert len(branch) == 3
-            for k in branch:
-                assert np.array_equal(tree.availability[k],
-                                      tree.availability[s])
+        assert ([sc.outage_unit for sc in tree.scenarios]
+                == [None] * 3 + ["g3"] * 3 + ["g1"] * 3)
+        for s, sc in enumerate(tree.scenarios):
+            expected = np.ones((4, 4), dtype=np.int8)
+            if sc.outage_unit is not None:
+                expected[tree.unit_ids.index(sc.outage_unit), 1:] = 0
+            assert np.array_equal(tree.availability[s], expected)
         model.credible_outages = []
         tree = build_tree(flat_wind(3), model, four_units(), 400.0, 4)
-        assert tree.outage_branches == {} == tree.outage_size
+        assert tree.outage_size == {}
 
     def test_unknown_outage_unit(self):
         model = ContingencyModel(credible_outages=["nope"],

@@ -49,7 +49,7 @@ def test_without_drops_columns_and_the_rows_that_read_them():
                                             [8.0, 9.0]], [-4.0, -5.0, -6.0],
                INF)
     asm = m.assembly()
-    before = [x.copy() for x in (m.lb, m.ub, m.c, asm.csr.toarray(),
+    before = [x.copy() for x in (m.lb, m.ub, m.c, asm.csc.toarray(),
                                  asm.row_lo, asm.row_hi)]
 
     r = m.without([b])
@@ -71,7 +71,7 @@ def test_without_drops_columns_and_the_rows_that_read_them():
     assert m.assembly() is asm
     assert (m.n_vars, m.n_rows) == (4, 6)
     assert all(np.array_equal(x, y) for x, y in zip(before, (
-        m.lb, m.ub, m.c, asm.csr.toarray(), asm.row_lo, asm.row_hi)))
+        m.lb, m.ub, m.c, asm.csc.toarray(), asm.row_lo, asm.row_hi)))
     assert m.is_int == [True, False, False, True]
 
 

@@ -170,7 +170,7 @@ class TestCloudMembership:
                             refuse)
         assert any(sc.outage_unit == "g3"
                    for sc in d.instance.tree.scenarios)
-        study._assert_cloud_membership(d.instance, d.solution)
+        study.assert_cloud_membership(d.instance, d.solution)
 
     def test_one_cloud_point_per_outage_unit(self, dual, monkeypatch):
         # the day has two wind paths, so two g3 scenarios, and one point
@@ -181,8 +181,8 @@ class TestCloudMembership:
         point = study.cloud_point
         monkeypatch.setattr(study, "cloud_point", lambda units, uid, *a: (
             calls.append(uid) or point(units, uid, *a)))
-        study._assert_cloud_membership(d.instance, d.solution)
-        assert calls == list(tree.outage_branches) == ["g3"]
+        study.assert_cloud_membership(d.instance, d.solution)
+        assert calls == list(tree.outage_size) == ["g3"]
 
     def test_aggregate_off_the_cloud_is_refused(self, dual, monkeypatch):
         d = dual[2].days[1]
@@ -195,7 +195,7 @@ class TestCloudMembership:
         monkeypatch.setattr(study, "cloud_point", shifted)
         with pytest.raises(StudyError, match="realized aggregate for "
                            "outage g3 not in the enumerated commitment set"):
-            study._assert_cloud_membership(d.instance, d.solution)
+            study.assert_cloud_membership(d.instance, d.solution)
 
 
 class TestPosthoc:

@@ -362,7 +362,7 @@ def test_aggregates_match_definitions():
         sol = solve(build_model(inst), mip_gap=1e-9)
         s_base = system.s_base(inst.units, inst.fleet)
         t = inst.tree.contingency_hour
-        for uid in inst.tree.outage_branches:
+        for uid in inst.tree.outage_size:
             agg, _ = _after_outage(sol, inst, uid)
             on = [u for i, u in enumerate(inst.units)
                   if sol.u[i, t] and u.id != uid]
@@ -481,12 +481,18 @@ def _fingerprint(sol):
 @pytest.mark.parametrize("make", [small_instance, small_bounds_instance,
                                   oracle_shaped_instance])
 def test_brute_force_pool_matches_one_worker(make, monkeypatch):
-    # the same answer, bit for bit, for this machine and 1, 2 or 3 CPUs
+    # the same answer, bit for bit, for this machine, 1, 2 or 3 CPUs, and
+    # a pool sized without os.sched_getaffinity
     pooled = _fingerprint(brute_force_uc(make()))
     for n_cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(n_cpus)))
         assert pooled == _fingerprint(brute_force_uc(make()))
+    # a platform without it (macOS, Windows), whose CPU count may be unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pooled == _fingerprint(brute_force_uc(make()))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pooled == _fingerprint(brute_force_uc(make()))
 
 
 @pytest.mark.parametrize("make", [small_instance, small_bounds_instance,
@@ -674,7 +680,7 @@ def study_day_bounds_instance(n_wind=None):
 def highs_input_digest(m):
     """sha256 of the arrays HighsBackend.solve hands to HiGHS."""
     asm = m.assembly()
-    a = asm.csr.copy()
+    a = asm.csc.tocsr()
     a.sum_duplicates()
     a.sort_indices()
     h = hashlib.sha256(str(a.shape).encode())
